@@ -7,6 +7,7 @@
 // the same rows/series the paper's table or figure reports.
 #pragma once
 
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -33,7 +34,9 @@ struct BenchArgs {
   std::string trace_out;           ///< Chrome trace_event JSON path
   std::string json_out;            ///< result-table JSON path (--json)
 
-  static BenchArgs Parse(int argc, const char* const* argv) {
+  /// Parses the shared bench flags; --help and bad flags exit here, under
+  /// the CliFlags exit contract (0 and 2).
+  static BenchArgs Parse(int argc, const char* const* argv) try {
     const CliFlags flags(argc, argv);
     BenchArgs args;
     args.paper_scale = flags.GetString("scale", "small") == "paper";
@@ -44,6 +47,8 @@ struct BenchArgs {
     args.json_out = flags.GetString("json", "");
     flags.RejectUnknown();
     return args;
+  } catch (...) {
+    std::exit(CliExitStatus());
   }
 
   double Duration(double small_default, double paper_default) const {

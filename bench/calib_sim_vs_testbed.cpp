@@ -72,7 +72,6 @@ int main(int argc, char** argv) {
     // least-perturbed of a few runs — the run closest to unloaded hardware.
     serving::TestbedConfig tb;
     tb.time_scale = 3.0;
-    tb.spin_threshold = Micros(800.0);  // trim OS wakeup latency tails
     // Telemetry (arlo row only, so one flag pair maps to one sim/tb run
     // each): fresh sink per candidate run, keep the chosen run's sink.
     const bool instrument = name == "arlo";

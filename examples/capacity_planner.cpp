@@ -21,7 +21,7 @@
 
 using namespace arlo;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const CliFlags flags(argc, argv);
   const double rate = flags.GetDouble("rate", 3000.0);
   const SimDuration slo = Millis(flags.GetDouble("slo_ms", 150.0));
@@ -102,4 +102,6 @@ int main(int argc, char** argv) {
                  "rate — raise the SLO or lower the rate\n";
   }
   return 0;
+} catch (...) {
+  return arlo::CliExitStatus();
 }

@@ -85,7 +85,7 @@ std::vector<cluster::NodeEndpoint> ParseNodes(const std::string& spec) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const CliFlags flags(argc, argv);
   const int listen_port = flags.GetInt("listen", 0);
   const int admin_port = flags.GetInt("admin-port", 0);
@@ -224,4 +224,6 @@ int main(int argc, char** argv) {
               << ToMillis(n.est_queue_delay_ns) << " ms\n";
   }
   return 0;
+} catch (...) {
+  return arlo::CliExitStatus();
 }

@@ -227,7 +227,7 @@ void PrintResult(const serving::TestbedResult& result,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const CliFlags flags(argc, argv);
   const double seconds = flags.GetDouble("seconds", 3.0);
   const double rate = flags.GetDouble("rate", 150.0);
@@ -595,4 +595,6 @@ int main(int argc, char** argv) {
   }
   if (sink) PrintTelemetrySummary(*sink);
   return 0;
+} catch (...) {
+  return arlo::CliExitStatus();
 }

@@ -20,7 +20,7 @@
 
 using namespace arlo;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const CliFlags flags(argc, argv);
   const double minutes = flags.GetDouble("minutes", 2.0);
   flags.RejectUnknown();
@@ -76,4 +76,6 @@ int main(int argc, char** argv) {
   std::cout << "\nArlo holds the same SLO with fewer GPU-seconds because "
                "short posts never pay 512-token padding.\n";
   return 0;
+} catch (...) {
+  return arlo::CliExitStatus();
 }

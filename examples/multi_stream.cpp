@@ -58,7 +58,7 @@ std::unique_ptr<sim::Scheme> StreamArlo(const runtime::ModelSpec& model,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const CliFlags flags(argc, argv);
   const double duration = flags.GetDouble("minutes", 1.5) * 60.0;
   flags.RejectUnknown();
@@ -98,4 +98,6 @@ int main(int argc, char** argv) {
             << "opposite phases, sharing headroom a static split would "
             << "duplicate.\n";
   return 0;
+} catch (...) {
+  return arlo::CliExitStatus();
 }

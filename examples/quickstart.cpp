@@ -24,7 +24,7 @@
 
 using namespace arlo;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const CliFlags flags(argc, argv);
   const double rate = flags.GetDouble("rate", 800.0);
   const int gpus = static_cast<int>(flags.GetInt("gpus", 8));
@@ -79,4 +79,6 @@ int main(int argc, char** argv) {
   std::cout << "\nDone.  Try --rate=2000 to watch queueing appear, or swap\n"
                "\"arlo\" for \"st\" / \"dt\" / \"infaas\" to compare schemes.\n";
   return 0;
+} catch (...) {
+  return arlo::CliExitStatus();
 }

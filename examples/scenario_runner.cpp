@@ -70,7 +70,7 @@ std::vector<std::string> SplitCommas(const std::string& s) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const CliFlags flags(argc, argv);
 
   trace::TwitterTraceConfig workload;
@@ -235,4 +235,6 @@ int main(int argc, char** argv) {
     if (!trace_out.empty()) telemetry::WriteTraceFile(*sink, trace_out);
   }
   return 0;
+} catch (...) {
+  return arlo::CliExitStatus();
 }

@@ -19,7 +19,7 @@
 
 using namespace arlo;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const CliFlags flags(argc, argv);
 
   trace::Trace trace;
@@ -93,4 +93,6 @@ int main(int argc, char** argv) {
   }
   w.Print(std::cout);
   return 0;
+} catch (...) {
+  return arlo::CliExitStatus();
 }

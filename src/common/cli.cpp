@@ -1,6 +1,7 @@
 #include "common/cli.h"
 
 #include <algorithm>
+#include <iostream>
 #include <stdexcept>
 #include <string_view>
 #include <vector>
@@ -16,6 +17,21 @@ std::string JoinFlags(const std::vector<std::string>& keys) {
     out += "--" + key;
   }
   return out;
+}
+
+/// Parses the whole of `value` with `parse` (std::stoll, std::stod),
+/// naming the flag when it is not a `kind`.
+template <typename Parse>
+auto ParseFlagValue(const std::string& key, const std::string& value,
+                    const char* kind, Parse parse) {
+  std::size_t used = 0;
+  try {
+    const auto parsed = parse(value, &used);
+    if (used == value.size()) return parsed;
+  } catch (const std::logic_error&) {  // invalid_argument, out_of_range
+  }
+  throw std::invalid_argument("bad --" + key + " value '" + value +
+                              "' (want " + kind + ")");
 }
 
 }  // namespace
@@ -52,13 +68,21 @@ std::string CliFlags::GetString(const std::string& key,
 long long CliFlags::GetInt(const std::string& key, long long fallback) const {
   queried_.insert(key);
   const auto it = values_.find(key);
-  return it == values_.end() ? fallback : std::stoll(it->second);
+  if (it == values_.end()) return fallback;
+  return ParseFlagValue(key, it->second, "an integer",
+                        [](const std::string& v, std::size_t* used) {
+                          return std::stoll(v, used);
+                        });
 }
 
 double CliFlags::GetDouble(const std::string& key, double fallback) const {
   queried_.insert(key);
   const auto it = values_.find(key);
-  return it == values_.end() ? fallback : std::stod(it->second);
+  if (it == values_.end()) return fallback;
+  return ParseFlagValue(key, it->second, "a number",
+                        [](const std::string& v, std::size_t* used) {
+                          return std::stod(v, used);
+                        });
 }
 
 bool CliFlags::GetBool(const std::string& key, bool fallback) const {
@@ -72,6 +96,11 @@ void CliFlags::RejectUnknown(
     std::initializer_list<const char*> extra_known) const {
   std::set<std::string> known = queried_;
   for (const char* k : extra_known) known.insert(k);
+  if (values_.count("help") > 0) {
+    known.erase("help");
+    const std::vector<std::string> valid(known.begin(), known.end());
+    throw CliHelpRequested("valid flags: " + JoinFlags(valid) + ", --help\n");
+  }
   // Both lists are sorted explicitly: the message is part of the contract
   // (golden-tested), independent of the container types above.
   std::vector<std::string> unknown;
@@ -84,6 +113,21 @@ void CliFlags::RejectUnknown(
   std::sort(valid.begin(), valid.end());
   throw std::invalid_argument("unknown flag(s): " + JoinFlags(unknown) +
                               " (valid flags: " + JoinFlags(valid) + ")");
+}
+
+int CliExitStatus() {
+  try {
+    throw;
+  } catch (const CliHelpRequested& help) {
+    std::cout << help.what();
+    return 0;
+  } catch (const std::invalid_argument& e) {
+    std::cerr << e.what() << "\n";
+    return 2;
+  } catch (const std::out_of_range& e) {
+    std::cerr << e.what() << "\n";
+    return 2;
+  }
 }
 
 unsigned ParseTraceSample(const std::string& spec) {

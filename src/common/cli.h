@@ -7,11 +7,23 @@
 // RejectUnknown() and any parsed flag that was never queried fails loudly.
 // This is what keeps a misspelled --metrics-out from silently running a
 // whole experiment with telemetry discarded.
+//
+// Exit contract shared by every binary: --help prints the valid flags and
+// exits 0; an unknown or malformed flag prints the message and exits 2.
+// Binaries get it by wrapping main in a function-try-block:
+//
+//   int main(int argc, char** argv) try {
+//     const CliFlags flags(argc, argv);
+//     ...
+//   } catch (...) {
+//     return arlo::CliExitStatus();
+//   }
 #pragma once
 
 #include <initializer_list>
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <string>
 
 namespace arlo {
@@ -35,7 +47,9 @@ class CliFlags {
   /// `extra_known`).  Call after all flags have been read — typically the
   /// last line of a binary's flag-parsing block.  Both the unknown and the
   /// valid flag lists in the message are sorted lexicographically — the
-  /// exact text is deterministic and golden-tested.
+  /// exact text is deterministic and golden-tested.  With --help on the
+  /// command line it throws CliHelpRequested instead, listing the valid
+  /// flags.
   void RejectUnknown(std::initializer_list<const char*> extra_known = {}) const;
 
  private:
@@ -44,6 +58,19 @@ class CliFlags {
   /// reading a flag is logically const.
   mutable std::set<std::string> queried_;
 };
+
+/// Thrown by CliFlags::RejectUnknown for --help; what() is the usage text.
+class CliHelpRequested : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
+/// Maps the exception in flight to a binary's exit status; call it only
+/// from a catch handler (see the exit contract at the top).  --help prints
+/// its usage text to stdout and gives 0; std::invalid_argument and
+/// std::out_of_range (an unknown or malformed flag) print the message to
+/// stderr and give 2.  Any other exception is rethrown.
+int CliExitStatus();
 
 /// Parses a --trace-sample value into a sampling denominator for
 /// telemetry::TraceSampled: "off" or "0" disables (returns 0), "1" traces

@@ -165,7 +165,7 @@ void Server::Impl::PumpLoop() {
     const RequestId id = request.id;
     const int cls = request.tenant_class;
     backend_.Submit(request, [this, id, cls](const RequestRecord& record) {
-      // Worker thread, dispatch mutex held: just hand off and wake.
+      // Testbed timer thread, dispatch mutex held: just hand off and wake.
       admission_.OnRequestDone(cls);
       {
         std::lock_guard lock(completions_mu_);

@@ -19,8 +19,8 @@
 //
 // Threading / lock order: the event loop owns all connection state
 // unshared.  Cross-thread traffic is (a) the bounded submission queue,
-// (b) the completions mutex (leaf — worker threads push while holding the
-// testbed dispatch mutex, so it must not be held while calling into the
+// (b) the completions mutex (leaf — the testbed's timer thread pushes while
+// holding the testbed dispatch mutex, so it must not be held while calling into the
 // backend), and (c) the stats mutex (leaf).
 #pragma once
 

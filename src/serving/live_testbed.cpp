@@ -1,5 +1,7 @@
 #include "serving/live_testbed.h"
 
+#include <sys/prctl.h>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -26,35 +28,27 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Sleeps until `deadline`, busy-spinning the final `spin` nanoseconds for
-/// sub-scheduler-quantum precision.
-void PreciseWaitUntil(Clock::time_point deadline,
-                      std::chrono::nanoseconds spin) {
-  const auto sleep_until = deadline - spin;
-  if (Clock::now() < sleep_until) std::this_thread::sleep_until(sleep_until);
-  while (Clock::now() < deadline) {
-    // spin
+/// Sleeps until `deadline` in <= 50 ms slices, returning early (true) as soon
+/// as `stop` becomes set, so neither Finish() nor a cancelled replay waits
+/// out a whole tick/snapshot interval or arrival gap.  Null never stops.
+bool SleepUntilOrStopped(Clock::time_point deadline,
+                         const std::atomic<bool>* stop) {
+  constexpr auto kSlice = std::chrono::milliseconds(50);
+  for (;;) {
+    if (stop && stop->load(std::memory_order_relaxed)) return true;
+    const auto now = Clock::now();
+    if (now >= deadline) return false;
+    std::this_thread::sleep_until(std::min(deadline, now + kSlice));
   }
 }
 
-/// PreciseWaitUntil, but abandoned (returning true) as soon as `stop`
-/// becomes set — the sleep happens in bounded slices so a Finish() never
-/// waits out a whole tick/snapshot interval.  Used by the background loops,
-/// whose wake-up precision only matters when they actually run the tick.
-bool PreciseWaitUntilOrStopped(Clock::time_point deadline,
-                               std::chrono::nanoseconds spin,
-                               const std::atomic<bool>& stop) {
-  constexpr auto kSlice = std::chrono::milliseconds(50);
-  auto sleep_until = deadline - spin;
-  while (Clock::now() < sleep_until) {
-    if (stop.load(std::memory_order_relaxed)) return true;
-    std::this_thread::sleep_until(std::min(sleep_until, Clock::now() + kSlice));
+/// Min-heap order on (due, seq): earliest first, FIFO among equal deadlines.
+struct DueLater {
+  template <typename T>
+  bool operator()(const T& a, const T& b) const {
+    return a.due != b.due ? a.due > b.due : a.seq > b.seq;
   }
-  while (Clock::now() < deadline) {
-    if (stop.load(std::memory_order_relaxed)) return true;
-  }
-  return stop.load(std::memory_order_relaxed);
-}
+};
 
 }  // namespace
 
@@ -112,40 +106,52 @@ struct LiveTestbed::Impl final : public sim::ClusterOps {
   }
 
  private:
+  /// One emulated GPU.  No thread stands behind it: provisioning, batch
+  /// formation waits, service and hang windows are deadlines on the shared
+  /// emulation timer, and every field is guarded by dispatch_mu_.
   struct Worker {
-    std::thread thread;
-    mutable std::mutex mu;
-    std::condition_variable cv;
     std::deque<batch::Item> queue;
-    int executing = 0;  // in-flight batch size (0 = idle)
+    std::vector<batch::Item> batch;  ///< one-shot in-flight batch
+    int executing = 0;               ///< in-flight batch size (0 = idle)
+    SimTime service_start = 0;       ///< in-flight batch/iteration start
+    SimTime service_end = 0;         ///< ... and its modeled end
     bool ready = false;
     bool retiring = false;
     bool gone = false;
-    // Fault state (all under mu).  `killed` is a crash: the worker dies with
-    // its queue stolen and its in-flight request requeued by its own thread.
+    // Fault state.  `killed` is a crash: the worker dies with its queued and
+    // in-flight requests requeued at once.
     bool killed = false;
     SimTime hung_until = 0;    ///< frozen: completions slide past the window
     SimTime slow_until = 0;    ///< service times scaled until then
     double slow_factor = 1.0;
     RuntimeId runtime = kInvalidRuntime;
     std::shared_ptr<const runtime::CompiledRuntime> rt;
-    SimDuration ready_delay = 0;
-    /// Generative mode only (under mu): `queue` stays empty; waiting and
-    /// resident sequences live in the iteration-level batcher instead.
+    /// Generative mode only: `queue` stays empty; waiting and resident
+    /// sequences live in the iteration-level batcher instead.
     std::unique_ptr<batch::ContinuousBatcher> gen;
+    /// Bumped on every arm and disarm of this worker's timer.  A heap entry
+    /// fires only while its epoch still matches, so a kill, a retirement or
+    /// a re-decided formation wait never has to search the heap.
+    std::uint64_t epoch = 0;
+  };
+
+  /// The per-worker events on the emulation timer.  A worker has at most
+  /// one live entry at a time.
+  enum class TimerKind { kReady, kFormationOver, kServiceDone, kHangOver };
+  struct TimerEntry {
+    SimTime due = 0;
+    std::uint64_t seq = 0;  ///< FIFO tie-break for equal deadlines
+    InstanceId id = 0;
+    std::uint64_t epoch = 0;
+    TimerKind kind = TimerKind::kReady;
   };
 
   /// A transiently-errored dispatch waiting out its backoff (fault_mu_).
   struct PendingRetry {
-    SimTime release = 0;
+    SimTime due = 0;
     std::uint64_t seq = 0;  ///< FIFO tie-break for equal release times
     Request request;
     int attempt = 0;
-  };
-  struct RetryLater {
-    bool operator()(const PendingRetry& a, const PendingRetry& b) const {
-      return a.release != b.release ? a.release > b.release : a.seq > b.seq;
-    }
   };
 
   SimTime WallToSim(Clock::time_point t) const {
@@ -160,10 +166,22 @@ struct LiveTestbed::Impl final : public sim::ClusterOps {
                         static_cast<double>(t) * config_.time_scale));
   }
 
-  void WorkerLoop(InstanceId id, Worker& w);
-  void GenWorkerRun(InstanceId id, Worker& w);
+  // Emulation timer (all *Locked variants require dispatch_mu_ held).
+  void TimerLoop();
+  void ArmLocked(InstanceId id, TimerKind kind, SimTime due);
+  void FireLocked(const TimerEntry& entry);
+  void OnReadyLocked(InstanceId id);
+  void StartNextLocked(InstanceId id);
+  void StartBatchLocked(InstanceId id);
+  void StartIterationLocked(InstanceId id);
+  void EndServiceLocked(InstanceId id, bool after_hang);
+  void CompleteBatchLocked(InstanceId id);
+  void CompleteIterationLocked(InstanceId id);
+  void CompleteRequestLocked(const RequestRecord& record,
+                             std::int64_t observed_service);
+
   void HandleArrivalLocked(const Request& request, int attempt = 0);
-  bool TryDispatchLocked(const Request& request);
+  InstanceId DispatchLocked(const Request& request);
   void RetryBufferedLocked();
   void FinalizeRetirementLocked(InstanceId id);
   void TickLoop();
@@ -208,6 +226,12 @@ struct LiveTestbed::Impl final : public sim::ClusterOps {
   int live_workers_ = 0;
   int peak_workers_ = 0;
   int outstanding_ = 0;  // dispatched, not yet completed (dispatch_mu_)
+  // Batch and iteration counters (dispatch_mu_).
+  std::uint64_t batches_formed_ = 0;
+  std::uint64_t batch_timeouts_ = 0;
+  std::uint64_t gen_prefill_iters_ = 0;
+  std::uint64_t gen_decode_iters_ = 0;
+  std::uint64_t gen_preemptions_ = 0;
   std::atomic<bool> stopping_{false};
 
   // Relaxed mirrors of the counters above, so frontend/admission threads can
@@ -222,37 +246,35 @@ struct LiveTestbed::Impl final : public sim::ClusterOps {
   /// batch launched (ns, alpha = 1/8).  Adds the wait-for-k delay component
   /// to EstimatedQueueDelay so admission estimates track waiting policies.
   std::atomic<std::int64_t> ewma_form_ns_{0};
-  std::atomic<std::uint64_t> batches_formed_{0};
-  std::atomic<std::uint64_t> batch_timeouts_{0};
-  std::atomic<std::uint64_t> gen_prefill_iters_{0};
-  std::atomic<std::uint64_t> gen_decode_iters_{0};
-  std::atomic<std::uint64_t> gen_preemptions_{0};
 
   std::thread ticker_;
   std::thread snapshotter_;
   std::thread fault_supervisor_;
 
-  // Fault state.  Counters and dispatch_rng_ are guarded by dispatch_mu_;
-  // the retry heap by fault_mu_ (lock order: dispatch_mu_ -> fault_mu_,
-  // never the reverse — FaultLoop drains the heap before taking
+  // Emulation timer heap behind its own leaf mutex.  Lock order:
+  // dispatch_mu_ -> timer_mu_, never the reverse — TimerLoop pops due
+  // entries, releases timer_mu_, then takes dispatch_mu_ to fire them.
+  std::mutex timer_mu_;
+  std::condition_variable timer_cv_;
+  std::priority_queue<TimerEntry, std::vector<TimerEntry>, DueLater> timers_;
+  std::uint64_t timer_seq_ = 0;  // under timer_mu_
+  bool timer_stop_ = false;      // under timer_mu_
+  std::thread timer_;
+
+  // Fault state.  Counters, dispatch_rng_ and health_ are guarded by
+  // dispatch_mu_; the retry heap by fault_mu_ (lock order: dispatch_mu_ ->
+  // fault_mu_, never the reverse — FaultLoop drains the heap before taking
   // dispatch_mu_).
   Rng dispatch_rng_{1};
   int injected_failures_ = 0;
   std::uint64_t faults_injected_ = 0;
   std::uint64_t retries_ = 0;
   std::uint64_t requeues_ = 0;
-
-  // Liveness view (fault::HealthTracker) behind its own leaf-ish mutex.
-  // Lock order: dispatch_mu_ -> health_mu_ -> w.mu.  Worker threads update
-  // health only with no w.mu held, so the FindHung scan (which reads
-  // per-worker outstanding under w.mu while holding health_mu_) cannot
-  // invert against them.
-  mutable std::mutex health_mu_;
   fault::HealthTracker health_;
 
   std::mutex fault_mu_;
   std::condition_variable fault_cv_;
-  std::priority_queue<PendingRetry, std::vector<PendingRetry>, RetryLater>
+  std::priority_queue<PendingRetry, std::vector<PendingRetry>, DueLater>
       retry_heap_;
   std::uint64_t retry_seq_ = 0;  // under fault_mu_
 };
@@ -265,7 +287,6 @@ InstanceId LiveTestbed::Impl::LaunchInstance(
   auto worker = std::make_unique<Worker>();
   worker->runtime = runtime;
   worker->rt = std::move(rt);
-  worker->ready_delay = ready_delay;
   if (config_.generative) {
     worker->gen =
         std::make_unique<batch::ContinuousBatcher>(*config_.generative);
@@ -278,9 +299,10 @@ InstanceId LiveTestbed::Impl::LaunchInstance(
     config_.telemetry->RecordInstanceLaunch(Now(), id, runtime);
     UpdateClusterGaugesLocked();
   }
-  // Pass the stable Worker* so the thread never reads the (growing) vector.
-  Worker* wp = workers_.back().get();
-  wp->thread = std::thread([this, id, wp] { WorkerLoop(id, *wp); });
+  // Readiness is always announced from the timer, even with no delay, so
+  // the scheme never sees OnInstanceReady re-entrantly from its own launch.
+  ArmLocked(id, TimerKind::kReady,
+            Now() + std::max<SimDuration>(0, ready_delay));
   return id;
 }
 
@@ -288,55 +310,40 @@ void LiveTestbed::Impl::RetireInstance(InstanceId id) {
   // dispatch_mu_ held.
   ARLO_CHECK(id < workers_.size());
   Worker& w = *workers_[id];
+  ARLO_CHECK_MSG(!w.retiring && !w.gone, "double retirement");
+  w.retiring = true;
   std::vector<batch::Item> orphans;
-  bool idle;
-  {
-    std::lock_guard lk(w.mu);
-    ARLO_CHECK_MSG(!w.retiring && !w.gone, "double retirement");
-    w.retiring = true;
-    if (w.gen) {
-      // Residents keep their KV caches and decode to completion in place;
-      // only the not-yet-admitted waiting queue is re-dispatched.
-      orphans = w.gen->StealWaiting();
-      idle = w.executing == 0 && w.gen->Idle();
-    } else {
-      orphans.assign(w.queue.begin(), w.queue.end());
-      w.queue.clear();
-      idle = w.executing == 0;
-    }
+  if (w.gen) {
+    // Residents keep their KV caches and decode to completion in place;
+    // only the not-yet-admitted waiting queue is re-dispatched.
+    orphans = w.gen->StealWaiting();
+  } else {
+    orphans.assign(w.queue.begin(), w.queue.end());
+    w.queue.clear();
   }
+  const bool idle = w.executing == 0 && (!w.gen || w.gen->Idle());
   for (const auto& q : orphans) HandleArrivalLocked(q.request);
-  if (idle) {
-    FinalizeRetirementLocked(id);
-    workers_[id]->cv.notify_all();  // wake the thread so it can exit
-  }
+  if (idle) FinalizeRetirementLocked(id);
 }
 
 void LiveTestbed::Impl::FinalizeRetirementLocked(InstanceId id) {
   Worker& w = *workers_[id];
-  {
-    std::lock_guard lk(w.mu);
-    if (w.gone) return;
-    w.gone = true;
-  }
+  if (w.gone) return;
+  w.gone = true;
+  ++w.epoch;  // drops a pending ready or formation-wait deadline
   --live_workers_;
   live_rel_.store(live_workers_, std::memory_order_relaxed);
-  {
-    std::lock_guard h(health_mu_);
-    health_.OnGone(id);
-  }
+  health_.OnGone(id);
   if (config_.telemetry) {
     config_.telemetry->RecordInstanceRetired(Now(), id);
     UpdateClusterGaugesLocked();
   }
   scheme_.OnInstanceRetired(id);
-  w.cv.notify_all();
 }
 
 int LiveTestbed::Impl::OutstandingOn(InstanceId id) const {
   ARLO_CHECK(id < workers_.size());
   const Worker& w = *workers_[id];
-  std::lock_guard lk(w.mu);
   if (w.gen) return w.gen->WaitingCount() + w.gen->ResidentCount();
   return static_cast<int>(w.queue.size()) + w.executing;
 }
@@ -365,33 +372,36 @@ void LiveTestbed::Impl::HandleArrivalLocked(const Request& request,
     return;
   }
   if (config_.telemetry) config_.telemetry->RecordEnqueue(request, Now());
-  if (!TryDispatchLocked(request)) {
-    buffer_.PushBack(request);
-    if (config_.telemetry) {
-      config_.telemetry->RecordBuffered(request, Now());
-      UpdateClusterGaugesLocked();
-    }
+  const InstanceId id = DispatchLocked(request);
+  if (id != kInvalidInstance) {
+    StartNextLocked(id);
+    return;
+  }
+  buffer_.PushBack(request);
+  if (config_.telemetry) {
+    config_.telemetry->RecordBuffered(request, Now());
+    UpdateClusterGaugesLocked();
   }
 }
 
-bool LiveTestbed::Impl::TryDispatchLocked(const Request& request) {
+InstanceId LiveTestbed::Impl::DispatchLocked(const Request& request) {
+  // Queues the request on the scheme's pick without starting service; the
+  // caller starts the worker (StartNextLocked) once its dispatching is done.
   const InstanceId id = scheme_.SelectInstance(request, *this);
-  if (id == kInvalidInstance) return false;
+  if (id == kInvalidInstance) return kInvalidInstance;
   ARLO_CHECK(id < workers_.size());
   if (config_.max_worker_queue > 0 &&
       OutstandingOn(id) >= config_.max_worker_queue) {
-    return false;  // backpressure into the central (class-aware) buffer
+    // Backpressure into the central (class-aware) buffer.
+    return kInvalidInstance;
   }
   Worker& w = *workers_[id];
-  {
-    std::lock_guard lk(w.mu);
-    ARLO_CHECK_MSG(w.ready && !w.retiring && !w.gone,
-                   "scheme selected an unavailable worker");
-    if (w.gen) {
-      w.gen->Enqueue(batch::Item{request, Now()});
-    } else {
-      w.queue.push_back(batch::Item{request, Now()});
-    }
+  ARLO_CHECK_MSG(w.ready && !w.retiring && !w.gone,
+                 "scheme selected an unavailable worker");
+  if (w.gen) {
+    w.gen->Enqueue(batch::Item{request, Now()});
+  } else {
+    w.queue.push_back(batch::Item{request, Now()});
   }
   scheme_.OnDispatched(request, id);
   ++outstanding_;
@@ -399,15 +409,22 @@ bool LiveTestbed::Impl::TryDispatchLocked(const Request& request) {
     config_.telemetry->RecordDispatch(request, Now(), id, w.runtime);
     UpdateClusterGaugesLocked();
   }
-  w.cv.notify_one();
-  return true;
+  return id;
 }
 
 void LiveTestbed::Impl::RetryBufferedLocked() {
+  // Dispatch the whole run first, then start the workers it landed on, so a
+  // worker forms its next batch (or prefill cohort) over everything it got.
+  std::vector<InstanceId> targets;
   while (!buffer_.Empty()) {
-    if (!TryDispatchLocked(buffer_.Front(Now()))) return;
+    const InstanceId id = DispatchLocked(buffer_.Front(Now()));
+    if (id == kInvalidInstance) break;
     buffer_.PopFront();
+    if (std::find(targets.begin(), targets.end(), id) == targets.end()) {
+      targets.push_back(id);
+    }
   }
+  for (const InstanceId id : targets) StartNextLocked(id);
 }
 
 bool LiveTestbed::Impl::KillWorkerLocked(InstanceId id) {
@@ -415,29 +432,28 @@ bool LiveTestbed::Impl::KillWorkerLocked(InstanceId id) {
   // serving (still provisioning, retiring, or already dead) is a no-op.
   if (id >= workers_.size()) return false;
   Worker& w = *workers_[id];
+  if (!w.ready || w.retiring || w.gone) return false;
+  w.killed = true;
+  w.gone = true;
+  ++w.epoch;  // the in-flight service (or hang) deadline never fires
   std::vector<batch::Item> orphans;
-  {
-    std::lock_guard lk(w.mu);
-    if (!w.ready || w.retiring || w.gone) return false;
-    w.killed = true;
-    w.gone = true;
-    if (w.gen) {
-      // Crash loses the KV caches: waiting AND resident sequences (including
-      // any in-flight iteration's) are re-dispatched and prefill again
-      // (recompute) on whichever worker they land on next.  The worker
-      // thread observes `killed` and exits without completing the iteration.
-      orphans = w.gen->StealAll();
-    } else {
-      orphans.assign(w.queue.begin(), w.queue.end());
-      w.queue.clear();
-    }
+  if (w.gen) {
+    // Crash loses the KV caches: waiting AND resident sequences (including
+    // any in-flight iteration's) are re-dispatched and prefill again
+    // (recompute) on whichever worker they land on next.
+    orphans = w.gen->StealAll();
+  } else {
+    // Queued requests first, then the in-flight batch, as the simulator
+    // requeues them; none of them records a completion here.
+    orphans.assign(w.queue.begin(), w.queue.end());
+    w.queue.clear();
+    orphans.insert(orphans.end(), w.batch.begin(), w.batch.end());
+    w.batch.clear();
   }
+  w.executing = 0;
   --live_workers_;
   live_rel_.store(live_workers_, std::memory_order_relaxed);
-  {
-    std::lock_guard h(health_mu_);
-    health_.OnGone(id);
-  }
+  health_.OnGone(id);
   ++injected_failures_;
   ++faults_injected_;
   if (config_.telemetry) {
@@ -455,9 +471,6 @@ bool LiveTestbed::Impl::KillWorkerLocked(InstanceId id) {
     }
     HandleArrivalLocked(q.request);
   }
-  // An in-flight request (w.executing) is requeued by the worker thread
-  // itself when its service wait ends and it observes `killed`.
-  w.cv.notify_all();
   RetryBufferedLocked();
   return true;
 }
@@ -471,7 +484,6 @@ void LiveTestbed::Impl::ApplyPlanEventLocked(const fault::FaultEvent& event) {
     case fault::FaultKind::kHang: {
       if (event.instance >= workers_.size() || event.duration <= 0) return;
       Worker& w = *workers_[event.instance];
-      std::lock_guard lk(w.mu);
       if (!w.ready || w.retiring || w.gone) return;
       w.hung_until = std::max(w.hung_until, Now() + event.duration);
       ++faults_injected_;
@@ -487,7 +499,6 @@ void LiveTestbed::Impl::ApplyPlanEventLocked(const fault::FaultEvent& event) {
         return;
       }
       Worker& w = *workers_[event.instance];
-      std::lock_guard lk(w.mu);
       if (!w.ready || w.retiring || w.gone) return;
       w.slow_until = std::max(w.slow_until, Now() + event.duration);
       w.slow_factor = event.factor;
@@ -502,18 +513,14 @@ void LiveTestbed::Impl::ApplyPlanEventLocked(const fault::FaultEvent& event) {
 }
 
 std::vector<InstanceId> LiveTestbed::Impl::FindHungLocked(SimTime now) {
-  // dispatch_mu_ held (workers_ indexing).  The tracker decides "held work,
-  // no progress past the timeout"; the callback supplies live outstanding,
-  // reporting 0 for provisioning/retiring/dead workers so only servable
-  // hangs are reaped.
-  std::lock_guard h(health_mu_);
+  // dispatch_mu_ held.  The tracker decides "held work, no progress past
+  // the timeout"; the callback supplies live outstanding, reporting 0 for
+  // provisioning/retiring/dead workers so only servable hangs are reaped.
   return health_.FindHung(now, [this](InstanceId id) {
     if (id >= workers_.size()) return 0;
     const Worker& w = *workers_[id];
-    std::lock_guard lk(w.mu);
     if (!w.ready || w.retiring || w.gone) return 0;
-    if (w.gen) return w.gen->WaitingCount() + w.gen->ResidentCount();
-    return static_cast<int>(w.queue.size()) + w.executing;
+    return OutstandingOn(id);
   });
 }
 
@@ -546,10 +553,10 @@ void LiveTestbed::Impl::FaultLoop() {
     due = std::min(due, next_health);
     {
       std::unique_lock lk(fault_mu_);
-      if (!retry_heap_.empty()) due = std::min(due, retry_heap_.top().release);
+      if (!retry_heap_.empty()) due = std::min(due, retry_heap_.top().due);
       const auto woken = [&] {
         return stopping_.load(std::memory_order_relaxed) ||
-               (!retry_heap_.empty() && retry_heap_.top().release < due);
+               (!retry_heap_.empty() && retry_heap_.top().due < due);
       };
       if (due == kNever) {
         fault_cv_.wait(lk, woken);
@@ -563,7 +570,7 @@ void LiveTestbed::Impl::FaultLoop() {
     std::vector<PendingRetry> due_retries;
     {
       std::lock_guard lk(fault_mu_);
-      while (!retry_heap_.empty() && retry_heap_.top().release <= now) {
+      while (!retry_heap_.empty() && retry_heap_.top().due <= now) {
         due_retries.push_back(retry_heap_.top());
         retry_heap_.pop();
       }
@@ -581,7 +588,6 @@ void LiveTestbed::Impl::FaultLoop() {
       std::vector<InstanceId> live;
       for (InstanceId id = 0; id < workers_.size(); ++id) {
         const Worker& w = *workers_[id];
-        std::lock_guard lk(w.mu);
         if (w.ready && !w.retiring && !w.gone) live.push_back(id);
       }
       if (!live.empty()) {
@@ -600,373 +606,300 @@ void LiveTestbed::Impl::FaultLoop() {
   }
 }
 
-void LiveTestbed::Impl::WorkerLoop(InstanceId id, Worker& w) {
-  // Provisioning delay, then announce readiness.
-  if (w.ready_delay > 0) {
-    PreciseWaitUntil(
-        Clock::now() + std::chrono::nanoseconds(static_cast<std::int64_t>(
-                           static_cast<double>(w.ready_delay) *
-                           config_.time_scale)),
-        std::chrono::nanoseconds(config_.spin_threshold));
-  }
-  {
-    std::lock_guard global(dispatch_mu_);
-    bool was_retired;
-    {
-      std::lock_guard lk(w.mu);
-      was_retired = w.gone || w.retiring;
-      if (!was_retired) w.ready = true;
-    }
-    if (was_retired) return;
-    {
-      std::lock_guard h(health_mu_);
-      health_.OnReady(id, Now());
-    }
-    scheme_.OnInstanceReady(id, w.runtime);
-    RetryBufferedLocked();
-  }
-
-  if (w.gen) {
-    GenWorkerRun(id, w);
-    return;
-  }
-
+void LiveTestbed::Impl::TimerLoop() {
+  // Deadlines are the emulated GPUs' only clock, so ask the kernel for exact
+  // wake-ups (the default slack is 50 us) rather than spinning the tail.
+  prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
+  std::vector<TimerEntry> due;
   for (;;) {
-    std::vector<batch::Item> items;
-    bool timed_out = false;
-    double slow_factor = 1.0;
     {
-      std::unique_lock lk(w.mu);
-      // Batch formation: ask the policy what to run; an empty take means
-      // "wait for the batch to fill", implemented as a timed cv wait so new
-      // arrivals, kills, and retirement interrupt the wait immediately.
+      std::unique_lock lk(timer_mu_);
       for (;;) {
-        w.cv.wait(lk, [&] {
-          return !w.queue.empty() || w.gone || w.retiring;
-        });
-        if (w.gone && w.queue.empty()) return;  // killed or retired-drained
-        if (w.queue.empty()) return;            // retiring and drained
-        batch::BatchContext ctx;
-        ctx.now = Now();
-        ctx.max_batch = config_.max_batch;
-        ctx.per_request_overhead = config_.per_request_overhead;
-        ctx.draining = w.retiring || w.killed;
-        const batch::BatchDecision d = policy_->Decide(w.queue, *w.rt, ctx);
-        if (!d.take.empty()) {
-          std::size_t prev_idx = 0;
-          for (std::size_t k = 0; k < d.take.size(); ++k) {
-            const std::size_t idx = d.take[k];
-            ARLO_CHECK_MSG(idx < w.queue.size() && (k == 0 || idx > prev_idx),
-                           "batch policy returned invalid take indices");
-            prev_idx = idx;
-            items.push_back(w.queue[idx]);
-          }
-          for (auto it = d.take.rbegin(); it != d.take.rend(); ++it) {
-            w.queue.erase(w.queue.begin() + static_cast<std::ptrdiff_t>(*it));
-          }
-          timed_out = d.timed_out;
-          w.executing = static_cast<int>(items.size());
-          if (Now() < w.slow_until) slow_factor = w.slow_factor;
-          break;
+        if (timer_stop_) return;
+        if (timers_.empty()) {
+          timer_cv_.wait(lk);
+          continue;
         }
-        ARLO_CHECK_MSG(d.wait > 0,
-                       "batch policy must take requests or wait a positive "
-                       "time");
-        // Sleep out the budget, but re-decide early when the queue changes
-        // (a deeper queue may fill the batch before the deadline).
-        const std::size_t depth = w.queue.size();
-        w.cv.wait_until(lk, SimToWall(Now() + d.wait), [&] {
-          return w.gone || w.retiring || w.killed || w.queue.size() != depth;
-        });
+        const Clock::time_point wake = SimToWall(timers_.top().due);
+        if (Clock::now() >= wake) break;
+        timer_cv_.wait_until(lk, wake);
+      }
+      const Clock::time_point now = Clock::now();
+      while (!timers_.empty() && SimToWall(timers_.top().due) <= now) {
+        due.push_back(timers_.top());
+        timers_.pop();
       }
     }
-    // Progress marks go to the health tracker with no worker lock held
-    // (lock order: health_mu_ is taken before w.mu only by the hang scan).
-    {
-      std::lock_guard h(health_mu_);
-      health_.OnProgress(id, Now());
-    }
-
-    int max_len = 1;
-    int sum_len = 0;
-    for (const batch::Item& item : items) {
-      max_len = std::max(max_len, item.request.length);
-      sum_len += item.request.length;
-    }
-    const int n = static_cast<int>(items.size());
-    const SimTime start_sim = Now();
-    const SimDuration service = static_cast<SimDuration>(
-        static_cast<double>(
-            static_cast<SimDuration>(n) * config_.per_request_overhead +
-            w.rt->BatchComputeTime(n, max_len)) *
-        slow_factor);
-    const SimDuration oldest_wait = start_sim - items.front().queued_at;
-    batches_formed_.fetch_add(1, std::memory_order_relaxed);
-    if (timed_out) batch_timeouts_.fetch_add(1, std::memory_order_relaxed);
-    const std::int64_t prev_form =
-        ewma_form_ns_.load(std::memory_order_relaxed);
-    ewma_form_ns_.store(prev_form == 0
-                            ? oldest_wait
-                            : prev_form - prev_form / 8 + oldest_wait / 8,
-                        std::memory_order_relaxed);
-    if (config_.telemetry) {
-      const batch::PaddingTokens tokens =
-          batch::BatchPaddingTokens(*w.rt, n, sum_len, max_len);
-      config_.telemetry->RecordBatchFormed(start_sim, id, n, tokens.useful,
-                                           tokens.computed, oldest_wait,
-                                           timed_out);
-    }
-    PreciseWaitUntil(SimToWall(start_sim + service),
-                     std::chrono::nanoseconds(config_.spin_threshold));
-
-    // A hang freezes the worker: an in-flight completion slides past the
-    // window's end.  Waits on the worker cv (not PreciseWaitUntil) so a
-    // kill — e.g. the health check reaping this very hang — interrupts the
-    // freeze immediately instead of sleeping out the whole window; the
-    // predicate re-reads hung_until because a hang may extend mid-wait.
-    bool recovered_from_hang = false;
-    {
-      std::unique_lock lk(w.mu);
-      while (!w.killed && Now() < w.hung_until) {
-        recovered_from_hang = true;
-        w.cv.wait_until(lk, SimToWall(w.hung_until),
-                        [&] { return w.killed; });
-      }
-      if (recovered_from_hang && !w.killed && config_.telemetry) {
-        config_.telemetry->RecordFaultRecover(Now(), id);
-      }
-    }
-
-    {
-      std::lock_guard global(dispatch_mu_);
-      bool was_killed;
-      {
-        std::lock_guard lk(w.mu);
-        was_killed = w.killed;
-      }
-      if (was_killed) {
-        // Crashed mid-service: the in-flight batch is requeued with its
-        // original arrival times; no completions are recorded.  The scheme
-        // was already detached from this worker by KillWorkerLocked.
-        for (const batch::Item& item : items) {
-          --outstanding_;
-          ++requeues_;
-          if (config_.telemetry) {
-            config_.telemetry->RecordRequeue(item.request, Now(), id);
-          }
-          HandleArrivalLocked(item.request);
-        }
-        RetryBufferedLocked();
-        return;
-      }
-      const SimTime completion = Now();
-      for (const batch::Item& item : items) {
-        RequestRecord record;
-        record.id = item.request.id;
-        record.arrival = item.request.arrival;
-        record.dispatch = item.queued_at;
-        record.start = start_sim;
-        record.completion = completion;
-        record.length = item.request.length;
-        record.stream = item.request.stream;
-        record.tenant_class = item.request.tenant_class;
-        record.runtime = w.runtime;
-        record.instance = id;
-        records_.push_back(record);
-        ++completed_;
-        if (!class_completed_.empty()) {
-          ++class_completed_[static_cast<std::size_t>(
-              config_.tenants->Clamp(record.tenant_class))];
-        }
-        completed_rel_.fetch_add(1, std::memory_order_relaxed);
-        --outstanding_;
-        // Per-request share of the batch's service time, so the admission
-        // estimate stays a per-request quantity under batching.
-        const std::int64_t observed = record.ServiceTime() / n;
-        const std::int64_t prev =
-            ewma_service_ns_.load(std::memory_order_relaxed);
-        ewma_service_ns_.store(
-            prev == 0 ? observed : prev - prev / 8 + observed / 8,
-            std::memory_order_relaxed);
-        if (config_.telemetry) {
-          config_.telemetry->RecordComplete(record);
-          UpdateClusterGaugesLocked();
-        }
-        scheme_.OnComplete(record, *this);
-        if (auto it = callbacks_.find(record.id); it != callbacks_.end()) {
-          CompletionFn done = std::move(it->second);
-          callbacks_.erase(it);
-          if (done) done(record);
-        }
-      }
-
-      bool drained;
-      {
-        std::lock_guard lk(w.mu);
-        w.executing = 0;
-        drained = w.retiring && w.queue.empty();
-      }
-      {
-        std::lock_guard h(health_mu_);
-        health_.OnProgress(id, Now());
-      }
-      if (drained) FinalizeRetirementLocked(id);
-      RetryBufferedLocked();
-      if (completed_ >= submitted_) all_done_cv_.notify_all();
-      if (drained) return;
-    }
+    std::lock_guard global(dispatch_mu_);
+    for (const TimerEntry& entry : due) FireLocked(entry);
+    due.clear();
   }
 }
 
-void LiveTestbed::Impl::GenWorkerRun(InstanceId id, Worker& w) {
-  // Iteration loop: plan (under w.mu), sleep out the modeled iteration
-  // time with no locks held, then complete under the dispatch lock —
-  // mirroring the one-shot WorkerLoop's structure so kills, hangs, and
-  // retirement compose identically.
-  for (;;) {
-    batch::IterationPlan plan;
-    double slow_factor = 1.0;
-    SimTime start_sim = 0;
-    {
-      std::unique_lock lk(w.mu);
-      for (;;) {
-        w.cv.wait(lk, [&] { return w.gone || w.retiring || !w.gen->Idle(); });
-        if (w.gone) return;  // killed (StealAll already requeued everything)
-        if (w.retiring && w.gen->Idle()) return;  // drained shutdown
-        start_sim = Now();
-        plan = w.gen->BeginIteration(start_sim);
-        if (plan.kind != batch::IterationPlan::Kind::kNone) break;
-      }
-      w.executing = plan.batch;
-      if (start_sim < w.slow_until) slow_factor = w.slow_factor;
-    }
-    {
-      std::lock_guard h(health_mu_);
-      health_.OnProgress(id, Now());
-    }
+void LiveTestbed::Impl::ArmLocked(InstanceId id, TimerKind kind, SimTime due) {
+  TimerEntry entry{due, 0, id, ++workers_[id]->epoch, kind};
+  bool earliest;
+  {
+    std::lock_guard lk(timer_mu_);
+    entry.seq = timer_seq_++;
+    timers_.push(entry);
+    earliest = timers_.top().seq == entry.seq;
+  }
+  if (earliest) timer_cv_.notify_one();
+}
 
-    SimDuration service;
-    if (plan.kind == batch::IterationPlan::Kind::kPrefill) {
-      service = static_cast<SimDuration>(plan.batch) *
-                    config_.per_request_overhead +
-                w.rt->BatchComputeTime(plan.batch, plan.max_len);
-    } else {
-      service = w.rt->DecodeStepTime(plan.billed_batch, plan.max_len);
-    }
+void LiveTestbed::Impl::FireLocked(const TimerEntry& entry) {
+  if (entry.epoch != workers_[entry.id]->epoch) return;  // superseded
+  switch (entry.kind) {
+    case TimerKind::kReady:
+      OnReadyLocked(entry.id);
+      break;
+    case TimerKind::kFormationOver:
+      StartNextLocked(entry.id);
+      break;
+    case TimerKind::kServiceDone:
+      EndServiceLocked(entry.id, /*after_hang=*/false);
+      break;
+    case TimerKind::kHangOver:
+      EndServiceLocked(entry.id, /*after_hang=*/true);
+      break;
+  }
+}
+
+void LiveTestbed::Impl::OnReadyLocked(InstanceId id) {
+  Worker& w = *workers_[id];
+  if (w.gone || w.retiring) return;
+  w.ready = true;
+  health_.OnReady(id, Now());
+  scheme_.OnInstanceReady(id, w.runtime);
+  RetryBufferedLocked();
+}
+
+void LiveTestbed::Impl::StartNextLocked(InstanceId id) {
+  // Starts service on an idle, ready worker that holds work.  Busy,
+  // provisioning and dead workers pick up their work later on their own.
+  const Worker& w = *workers_[id];
+  if (!w.ready || w.gone || w.executing > 0) return;
+  if (w.gen) {
+    if (!w.gen->Idle()) StartIterationLocked(id);
+  } else if (!w.queue.empty()) {
+    StartBatchLocked(id);
+  }
+}
+
+void LiveTestbed::Impl::StartBatchLocked(InstanceId id) {
+  Worker& w = *workers_[id];
+  // Batch formation: ask the policy what to run; an empty take means "wait
+  // for the batch to fill", a formation deadline on the timer.  A dispatch
+  // to this worker re-decides first (a deeper queue may fill the batch
+  // before the deadline) and supersedes the pending one.
+  const SimTime now = Now();
+  batch::BatchContext ctx;
+  ctx.now = now;
+  ctx.max_batch = config_.max_batch;
+  ctx.per_request_overhead = config_.per_request_overhead;
+  ctx.draining = w.retiring;
+  const batch::BatchDecision d = policy_->Decide(w.queue, *w.rt, ctx);
+  if (d.take.empty()) {
+    ARLO_CHECK_MSG(d.wait > 0,
+                   "batch policy must take requests or wait a positive time");
+    ArmLocked(id, TimerKind::kFormationOver, now + d.wait);
+    return;
+  }
+  w.batch.clear();
+  int max_len = 1;
+  int sum_len = 0;
+  std::size_t prev_idx = 0;
+  for (std::size_t k = 0; k < d.take.size(); ++k) {
+    const std::size_t idx = d.take[k];
+    ARLO_CHECK_MSG(idx < w.queue.size() && (k == 0 || idx > prev_idx),
+                   "batch policy returned invalid take indices");
+    prev_idx = idx;
+    w.batch.push_back(w.queue[idx]);
+    max_len = std::max(max_len, w.queue[idx].request.length);
+    sum_len += w.queue[idx].request.length;
+  }
+  for (auto it = d.take.rbegin(); it != d.take.rend(); ++it) {
+    w.queue.erase(w.queue.begin() + static_cast<std::ptrdiff_t>(*it));
+  }
+  const int n = static_cast<int>(w.batch.size());
+  w.executing = n;
+  health_.OnProgress(id, now);
+
+  SimDuration service =
+      static_cast<SimDuration>(n) * config_.per_request_overhead +
+      w.rt->BatchComputeTime(n, max_len);
+  if (now < w.slow_until) {
     service = static_cast<SimDuration>(static_cast<double>(service) *
-                                       slow_factor);
-    gen_preemptions_.fetch_add(static_cast<std::uint64_t>(plan.preempted),
-                               std::memory_order_relaxed);
-    if (plan.kind == batch::IterationPlan::Kind::kPrefill) {
-      batches_formed_.fetch_add(1, std::memory_order_relaxed);
-      gen_prefill_iters_.fetch_add(1, std::memory_order_relaxed);
-      if (config_.telemetry) {
-        config_.telemetry->RecordGenPrefill(start_sim, id, plan.batch,
-                                            plan.preempted, service);
-      }
-    } else {
-      gen_decode_iters_.fetch_add(1, std::memory_order_relaxed);
-    }
-    PreciseWaitUntil(SimToWall(start_sim + service),
-                     std::chrono::nanoseconds(config_.spin_threshold));
+                                       w.slow_factor);
+  }
+  const SimDuration oldest_wait = now - w.batch.front().queued_at;
+  ++batches_formed_;
+  if (d.timed_out) ++batch_timeouts_;
+  const std::int64_t prev_form = ewma_form_ns_.load(std::memory_order_relaxed);
+  ewma_form_ns_.store(prev_form == 0
+                          ? oldest_wait
+                          : prev_form - prev_form / 8 + oldest_wait / 8,
+                      std::memory_order_relaxed);
+  if (config_.telemetry) {
+    const batch::PaddingTokens tokens =
+        batch::BatchPaddingTokens(*w.rt, n, sum_len, max_len);
+    config_.telemetry->RecordBatchFormed(now, id, n, tokens.useful,
+                                         tokens.computed, oldest_wait,
+                                         d.timed_out);
+  }
+  w.service_start = now;
+  w.service_end = now + service;
+  ArmLocked(id, TimerKind::kServiceDone, w.service_end);
+}
 
-    // Hang freeze: the iteration's completion slides past the window, same
-    // as the one-shot path; a kill interrupts the freeze immediately.
-    bool recovered_from_hang = false;
-    {
-      std::unique_lock lk(w.mu);
-      while (!w.killed && Now() < w.hung_until) {
-        recovered_from_hang = true;
-        w.cv.wait_until(lk, SimToWall(w.hung_until), [&] { return w.killed; });
-      }
-      if (recovered_from_hang && !w.killed && config_.telemetry) {
-        config_.telemetry->RecordFaultRecover(Now(), id);
-      }
-    }
+void LiveTestbed::Impl::StartIterationLocked(InstanceId id) {
+  Worker& w = *workers_[id];
+  const SimTime now = Now();
+  const batch::IterationPlan plan = w.gen->BeginIteration(now);
+  ARLO_CHECK(plan.kind != batch::IterationPlan::Kind::kNone);
+  w.executing = plan.batch;
+  health_.OnProgress(id, now);
 
-    {
-      std::lock_guard global(dispatch_mu_);
-      batch::ContinuousBatcher::IterationResult result;
-      bool was_killed;
-      {
-        std::lock_guard lk(w.mu);
-        was_killed = w.killed;
-        if (!was_killed) {
-          result = w.gen->CompleteIteration(Now());
-          w.executing = 0;
-        }
-      }
-      if (was_killed) {
-        // KillWorkerLocked stole and requeued every sequence (the KV caches
-        // are gone); nothing to complete here.
-        return;
-      }
-      const SimTime completion = Now();
-      if (config_.telemetry) {
-        if (result.plan.kind == batch::IterationPlan::Kind::kDecode) {
-          config_.telemetry->RecordGenDecodeStep(
-              completion, id, result.plan.batch, completion - start_sim);
-        }
-        for (const batch::Item& item : result.first_tokens) {
-          config_.telemetry->RecordGenFirstToken(
-              item.request, completion, completion - item.request.arrival);
-        }
-      }
-      for (batch::GenSequence& seq : result.finished) {
-        RequestRecord record;
-        record.id = seq.item.request.id;
-        record.arrival = seq.item.request.arrival;
-        record.dispatch = seq.item.queued_at;
-        record.start = seq.prefill_start;
-        record.first_token = seq.first_token;
-        record.completion = completion;
-        record.length = seq.item.request.length;
-        record.decode_len = seq.item.request.decode_len;
-        record.stream = seq.item.request.stream;
-        record.tenant_class = seq.item.request.tenant_class;
-        record.runtime = w.runtime;
-        record.instance = id;
-        records_.push_back(record);
-        ++completed_;
-        if (!class_completed_.empty()) {
-          ++class_completed_[static_cast<std::size_t>(
-              config_.tenants->Clamp(record.tenant_class))];
-        }
-        completed_rel_.fetch_add(1, std::memory_order_relaxed);
-        --outstanding_;
-        const std::int64_t observed = record.ServiceTime();
-        const std::int64_t prev =
-            ewma_service_ns_.load(std::memory_order_relaxed);
-        ewma_service_ns_.store(
-            prev == 0 ? observed : prev - prev / 8 + observed / 8,
-            std::memory_order_relaxed);
-        if (config_.telemetry) {
-          config_.telemetry->RecordComplete(record);
-          UpdateClusterGaugesLocked();
-        }
-        scheme_.OnComplete(record, *this);
-        if (auto it = callbacks_.find(record.id); it != callbacks_.end()) {
-          CompletionFn done = std::move(it->second);
-          callbacks_.erase(it);
-          if (done) done(record);
-        }
-      }
-      UpdateGenGaugesLocked();
-
-      bool drained;
-      {
-        std::lock_guard lk(w.mu);
-        drained = w.retiring && w.gen->Idle();
-      }
-      {
-        std::lock_guard h(health_mu_);
-        health_.OnProgress(id, Now());
-      }
-      if (drained) FinalizeRetirementLocked(id);
-      RetryBufferedLocked();
-      if (completed_ >= submitted_) all_done_cv_.notify_all();
-      if (drained) return;
+  SimDuration service;
+  if (plan.kind == batch::IterationPlan::Kind::kPrefill) {
+    service = static_cast<SimDuration>(plan.batch) *
+                  config_.per_request_overhead +
+              w.rt->BatchComputeTime(plan.batch, plan.max_len);
+  } else {
+    service = w.rt->DecodeStepTime(plan.billed_batch, plan.max_len);
+  }
+  if (now < w.slow_until) {
+    service = static_cast<SimDuration>(static_cast<double>(service) *
+                                       w.slow_factor);
+  }
+  gen_preemptions_ += static_cast<std::uint64_t>(plan.preempted);
+  if (plan.kind == batch::IterationPlan::Kind::kPrefill) {
+    ++batches_formed_;
+    ++gen_prefill_iters_;
+    if (config_.telemetry) {
+      config_.telemetry->RecordGenPrefill(now, id, plan.batch, plan.preempted,
+                                          service);
     }
+  } else {
+    ++gen_decode_iters_;
+  }
+  w.service_start = now;
+  w.service_end = now + service;
+  ArmLocked(id, TimerKind::kServiceDone, w.service_end);
+}
+
+void LiveTestbed::Impl::EndServiceLocked(InstanceId id, bool after_hang) {
+  Worker& w = *workers_[id];
+  // A hang freezes the worker: the in-flight completion slides past the
+  // window's end, re-armed while a later hang extends it.  A kill (e.g. the
+  // health check reaping this very hang) drops the deadline instead.
+  if (Now() < w.hung_until) {
+    ArmLocked(id, TimerKind::kHangOver, w.hung_until);
+    return;
+  }
+  if (after_hang && config_.telemetry) {
+    config_.telemetry->RecordFaultRecover(Now(), id);
+  }
+  if (w.gen) {
+    CompleteIterationLocked(id);
+  } else {
+    CompleteBatchLocked(id);
+  }
+  health_.OnProgress(id, Now());
+  const bool drained =
+      w.retiring && (w.gen ? w.gen->Idle() : w.queue.empty());
+  if (drained) FinalizeRetirementLocked(id);
+  RetryBufferedLocked();
+  if (!drained) StartNextLocked(id);
+  if (completed_ >= submitted_) all_done_cv_.notify_all();
+}
+
+void LiveTestbed::Impl::CompleteBatchLocked(InstanceId id) {
+  Worker& w = *workers_[id];
+  // Never before the modeled end, whatever the wall-to-sim rounding.
+  const SimTime completion = std::max(Now(), w.service_end);
+  const std::vector<batch::Item> items = std::move(w.batch);
+  w.batch.clear();
+  const auto n = static_cast<std::int64_t>(items.size());
+  for (const batch::Item& item : items) {
+    RequestRecord record;
+    record.id = item.request.id;
+    record.arrival = item.request.arrival;
+    record.dispatch = item.queued_at;
+    record.start = w.service_start;
+    record.completion = completion;
+    record.length = item.request.length;
+    record.stream = item.request.stream;
+    record.tenant_class = item.request.tenant_class;
+    record.runtime = w.runtime;
+    record.instance = id;
+    // Per-request share of the batch's service time, so the admission
+    // estimate stays a per-request quantity under batching.
+    CompleteRequestLocked(record, record.ServiceTime() / n);
+  }
+  w.executing = 0;
+}
+
+void LiveTestbed::Impl::CompleteIterationLocked(InstanceId id) {
+  Worker& w = *workers_[id];
+  const SimTime completion = std::max(Now(), w.service_end);
+  batch::ContinuousBatcher::IterationResult result =
+      w.gen->CompleteIteration(completion);
+  w.executing = 0;
+  if (config_.telemetry) {
+    if (result.plan.kind == batch::IterationPlan::Kind::kDecode) {
+      config_.telemetry->RecordGenDecodeStep(completion, id, result.plan.batch,
+                                             completion - w.service_start);
+    }
+    for (const batch::Item& item : result.first_tokens) {
+      config_.telemetry->RecordGenFirstToken(
+          item.request, completion, completion - item.request.arrival);
+    }
+  }
+  for (batch::GenSequence& seq : result.finished) {
+    RequestRecord record;
+    record.id = seq.item.request.id;
+    record.arrival = seq.item.request.arrival;
+    record.dispatch = seq.item.queued_at;
+    record.start = seq.prefill_start;
+    record.first_token = seq.first_token;
+    record.completion = completion;
+    record.length = seq.item.request.length;
+    record.decode_len = seq.item.request.decode_len;
+    record.stream = seq.item.request.stream;
+    record.tenant_class = seq.item.request.tenant_class;
+    record.runtime = w.runtime;
+    record.instance = id;
+    CompleteRequestLocked(record, record.ServiceTime());
+  }
+  UpdateGenGaugesLocked();
+}
+
+void LiveTestbed::Impl::CompleteRequestLocked(const RequestRecord& record,
+                                              std::int64_t observed_service) {
+  records_.push_back(record);
+  ++completed_;
+  if (!class_completed_.empty()) {
+    ++class_completed_[static_cast<std::size_t>(
+        config_.tenants->Clamp(record.tenant_class))];
+  }
+  completed_rel_.fetch_add(1, std::memory_order_relaxed);
+  --outstanding_;
+  const std::int64_t prev = ewma_service_ns_.load(std::memory_order_relaxed);
+  ewma_service_ns_.store(
+      prev == 0 ? observed_service
+                : prev - prev / 8 + observed_service / 8,
+      std::memory_order_relaxed);
+  if (config_.telemetry) {
+    config_.telemetry->RecordComplete(record);
+    UpdateClusterGaugesLocked();
+  }
+  scheme_.OnComplete(record, *this);
+  if (auto it = callbacks_.find(record.id); it != callbacks_.end()) {
+    CompletionFn done = std::move(it->second);
+    callbacks_.erase(it);
+    if (done) done(record);
   }
 }
 
@@ -976,7 +909,6 @@ void LiveTestbed::Impl::UpdateGenGaugesLocked() {
   std::int64_t capacity = 0;
   for (const auto& worker : workers_) {
     const Worker& w = *worker;
-    std::lock_guard lk(w.mu);
     if (w.gone || !w.gen) continue;
     resident += w.gen->ResidentCount();
     capacity += w.gen->KvCapacity();
@@ -993,13 +925,7 @@ void LiveTestbed::Impl::SnapshotLoop() {
   const SimDuration period = config_.telemetry->SnapshotPeriod();
   ARLO_CHECK(period > 0);
   SimTime next = period;
-  while (!stopping_.load(std::memory_order_relaxed)) {
-    if (PreciseWaitUntilOrStopped(SimToWall(next),
-                                  std::chrono::nanoseconds(
-                                      config_.spin_threshold),
-                                  stopping_)) {
-      return;
-    }
+  while (!SleepUntilOrStopped(SimToWall(next), &stopping_)) {
     // Stamp the scheduled grid time, not the jittery wake time: the sim
     // engine snapshots at exact multiples of the period on virtual time, so
     // stamping `next` keeps testbed CSV rows on the same monotonic grid
@@ -1013,13 +939,7 @@ void LiveTestbed::Impl::SnapshotLoop() {
 void LiveTestbed::Impl::TickLoop() {
   const SimDuration interval = scheme_.TickInterval();
   SimTime next = interval;
-  while (!stopping_.load(std::memory_order_relaxed)) {
-    if (PreciseWaitUntilOrStopped(SimToWall(next),
-                                  std::chrono::nanoseconds(
-                                      config_.spin_threshold),
-                                  stopping_)) {
-      return;
-    }
+  while (!SleepUntilOrStopped(SimToWall(next), &stopping_)) {
     std::lock_guard global(dispatch_mu_);
     scheme_.OnTick(Now(), *this);
     RetryBufferedLocked();
@@ -1033,6 +953,7 @@ void LiveTestbed::Impl::Start() {
   start_ = Clock::now();
   scheme_.SetTelemetry(config_.telemetry);
   if (config_.fault_plan) dispatch_rng_ = Rng(config_.fault_plan->seed);
+  timer_ = std::thread([this] { TimerLoop(); });
   {
     std::lock_guard global(dispatch_mu_);
     scheme_.Setup(*this);
@@ -1084,10 +1005,7 @@ TestbedHealth LiveTestbed::Impl::Health() {
   TestbedHealth h;
   h.live_workers = live_workers_;
   h.outstanding = outstanding_;
-  {
-    std::lock_guard hl(health_mu_);
-    h.tracked = health_.NumTracked();
-  }
+  h.tracked = health_.NumTracked();
   h.hung = FindHungLocked(Now());
   h.ok = live_workers_ > 0 && h.hung.empty();
   return h;
@@ -1104,9 +1022,8 @@ void LiveTestbed::Impl::WriteStatusJson(std::ostream& os) {
      // The admission estimate, exported so a router tier can steer on
      // backend queue pressure without a second estimator.
      << ",\"est_queue_delay_ns\":" << EstimatedQueueDelay();
-  os << ",\"batches\":{\"formed\":"
-     << batches_formed_.load(std::memory_order_relaxed) << ",\"timeouts\":"
-     << batch_timeouts_.load(std::memory_order_relaxed) << "}";
+  os << ",\"batches\":{\"formed\":" << batches_formed_
+     << ",\"timeouts\":" << batch_timeouts_ << "}";
   if (!mix_counts_.empty()) {
     // Cumulative submitted-length histogram; the cluster Runtime Scheduler
     // diffs successive scrapes into a windowed demand observation.
@@ -1148,32 +1065,19 @@ void LiveTestbed::Impl::WriteStatusJson(std::ostream& os) {
   os << ",\"workers\":[";
   for (InstanceId id = 0; id < workers_.size(); ++id) {
     const Worker& w = *workers_[id];
-    int queued;
-    int executing;
-    const char* state;
-    RuntimeId runtime;
-    int max_length;
-    {
-      std::lock_guard lk(w.mu);
-      queued = w.gen ? w.gen->WaitingCount() + w.gen->ResidentCount()
-                     : static_cast<int>(w.queue.size());
-      executing = w.executing;
-      state = w.gone ? (w.killed ? "killed" : "gone")
-                     : (w.retiring ? "retiring"
-                                   : (w.ready ? "ready" : "provisioning"));
-      runtime = w.runtime;
-      max_length = w.rt ? w.rt->MaxLength() : 0;
-    }
-    SimTime last_progress;
-    {
-      std::lock_guard h(health_mu_);
-      last_progress = health_.LastProgress(id);
-    }
+    const int queued = w.gen ? w.gen->WaitingCount() + w.gen->ResidentCount()
+                             : static_cast<int>(w.queue.size());
+    const char* state = w.gone       ? (w.killed ? "killed" : "gone")
+                        : w.retiring ? "retiring"
+                        : w.ready    ? "ready"
+                                     : "provisioning";
+    const int max_length = w.rt ? w.rt->MaxLength() : 0;
+    const SimTime last_progress = health_.LastProgress(id);
     if (id > 0) os << ",";
     os << "{\"id\":" << id << ",\"runtime\":"
-       << static_cast<std::int64_t>(runtime) << ",\"state\":\"" << state
+       << static_cast<std::int64_t>(w.runtime) << ",\"state\":\"" << state
        << "\",\"max_length\":" << max_length << ",\"queued\":" << queued
-       << ",\"executing\":" << executing;
+       << ",\"executing\":" << w.executing;
     if (last_progress >= 0) {
       os << ",\"idle_s\":" << ToSeconds(now - last_progress);
     }
@@ -1226,19 +1130,12 @@ TestbedResult LiveTestbed::Impl::Finish() {
   }
   if (snapshotter_.joinable()) snapshotter_.join();
   if (config_.telemetry) config_.telemetry->Snapshot(Now());  // final row
-
-  // Shut down workers: mark retired so loops exit, then join.
   {
-    std::lock_guard global(dispatch_mu_);
-    for (auto& w : workers_) {
-      std::lock_guard lk(w->mu);
-      w->retiring = true;
-    }
+    std::lock_guard lk(timer_mu_);
+    timer_stop_ = true;
   }
-  for (auto& w : workers_) w->cv.notify_all();
-  for (auto& w : workers_) {
-    if (w->thread.joinable()) w->thread.join();
-  }
+  timer_cv_.notify_all();
+  timer_.join();
 
   TestbedResult out;
   out.records = std::move(records_);
@@ -1247,13 +1144,11 @@ TestbedResult LiveTestbed::Impl::Finish() {
   out.faults_injected = faults_injected_;
   out.retries = retries_;
   out.requeues = requeues_;
-  out.batches_formed = batches_formed_.load(std::memory_order_relaxed);
-  out.batch_timeouts = batch_timeouts_.load(std::memory_order_relaxed);
-  out.gen_prefill_iterations =
-      gen_prefill_iters_.load(std::memory_order_relaxed);
-  out.gen_decode_iterations =
-      gen_decode_iters_.load(std::memory_order_relaxed);
-  out.gen_preemptions = gen_preemptions_.load(std::memory_order_relaxed);
+  out.batches_formed = batches_formed_;
+  out.batch_timeouts = batch_timeouts_;
+  out.gen_prefill_iterations = gen_prefill_iters_;
+  out.gen_decode_iterations = gen_decode_iters_;
+  out.gen_preemptions = gen_preemptions_;
   SimTime end = 0;
   for (const auto& r : out.records) end = std::max(end, r.completion);
   out.end_time = end;
@@ -1299,29 +1194,6 @@ void LiveTestbed::Drain() { impl_->Drain(); }
 
 TestbedResult LiveTestbed::Finish() { return impl_->Finish(); }
 
-namespace {
-
-/// Waits until `deadline` in <= 50 ms slices, returning early (true) when
-/// `cancel` fires — the trace replay loop's interruptible arrival wait.
-bool CancellableWaitUntil(Clock::time_point deadline,
-                          std::chrono::nanoseconds spin,
-                          const std::atomic<bool>* cancel) {
-  constexpr auto kSlice = std::chrono::milliseconds(50);
-  for (;;) {
-    if (cancel && cancel->load(std::memory_order_relaxed)) return true;
-    const auto now = Clock::now();
-    if (now >= deadline) return false;
-    if (deadline - now > kSlice) {
-      std::this_thread::sleep_for(kSlice);
-      continue;
-    }
-    PreciseWaitUntil(deadline, spin);
-    return false;
-  }
-}
-
-}  // namespace
-
 TestbedResult RunTestbed(const trace::Trace& trace, sim::Scheme& scheme,
                          const TestbedConfig& config) {
   LiveTestbed testbed(scheme, config);
@@ -1338,11 +1210,7 @@ TestbedResult RunTestbed(const trace::Trace& trace, sim::Scheme& scheme,
           Clock::now() + std::chrono::nanoseconds(static_cast<std::int64_t>(
                              static_cast<double>(r.arrival - now) *
                              config.time_scale));
-      if (CancellableWaitUntil(deadline,
-                               std::chrono::nanoseconds(config.spin_threshold),
-                               config.cancel)) {
-        break;
-      }
+      if (SleepUntilOrStopped(deadline, config.cancel)) break;
     }
     testbed.Submit(r);
   }

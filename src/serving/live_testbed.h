@@ -1,15 +1,17 @@
-// Live (open-ended) testbed: the same worker-thread/dispatch machinery that
+// Live (open-ended) testbed: the same timer-thread/dispatch machinery that
 // RunTestbed drives from a trace, exposed as a submission API so an external
 // frontend — the src/net TCP server, or any in-process producer — can feed
 // requests at wall-clock time and observe completions through callbacks.
 //
-// Lifecycle: Start() deploys the scheme and spawns the ticker / telemetry
-// snapshotter / fault supervisor; Submit() hands a request to the dispatcher
-// (thread-safe, any producer thread); Finish() waits for every submitted
-// request to complete, stops the machinery, and returns the records.
+// Lifecycle: Start() spawns the emulation timer, deploys the scheme and
+// spawns the ticker / telemetry snapshotter / fault supervisor; Submit()
+// hands a request to the dispatcher (thread-safe, any producer thread);
+// Finish() waits for every submitted request to complete, stops the
+// machinery, and returns the records.  The thread count is fixed: it does
+// not depend on the number of emulated GPUs (testbed.h).
 //
-// Completion callbacks run on the worker thread that finished the request,
-// with the dispatch mutex held: they must be fast, must not block, and must
+// Completion callbacks run on the emulation timer thread, with the
+// dispatch mutex held: they must be fast, must not block, and must
 // not call back into the LiveTestbed (push to a queue and return — the
 // src/net server hands replies to its event loop exactly that way).
 #pragma once

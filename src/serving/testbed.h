@@ -1,17 +1,34 @@
 // Threaded testbed emulation: the wall-clock counterpart of the simulator.
 //
-// Each GPU instance is a dedicated worker thread that holds a request for
-// its modeled compute time (precise hybrid sleep+spin waiting); the trace is
-// replayed in (optionally compressed) real time; all scheme interactions are
-// serialized under one dispatch mutex, mirroring a Triton-style frontend.
-// The same Scheme implementations run unmodified on the simulator and here,
-// which is what the §5.2.1 calibration experiment compares.
+// Each GPU instance holds a request for its modeled compute time; the trace
+// is replayed in (optionally compressed) real time; all scheme interactions
+// are serialized under one dispatch mutex, mirroring a Triton-style
+// frontend.  The same Scheme implementations run unmodified on the
+// simulator and here, which is what the §5.2.1 calibration experiment
+// compares.
+//
+// Timer-thread model.  Emulated instances have no threads.  One timer
+// thread holds a deadline min-heap of per-instance events: provisioning
+// ready, service done (a one-shot batch or a generative prefill/decode
+// iteration), batch-formation wait over, and hang window over.  It pops the
+// due entries, then handles each under the dispatch mutex; the handler that
+// completes a batch or iteration starts that instance's next one inline,
+// and a dispatch to an idle instance starts service directly.  The thread
+// runs with 1 ns timer slack (PR_SET_TIMERSLACK) instead of spinning, so
+// neither host CPU nor thread count grows with the number of instances.
+//
+// Epoch rule.  Each instance has at most one live heap entry: every arm
+// bumps the instance's epoch and stamps the entry with it, and a kill,
+// retirement or re-decided formation wait bumps it too.  The timer skips
+// any entry whose epoch no longer matches, so nothing is ever searched for
+// or removed from the heap.
 //
 // This header declares the shared config/result types and the trace-replay
 // entry point; the machinery itself lives behind the LiveTestbed submission
 // API in live_testbed.h so the src/net frontend can drive it over sockets.
 //
-// Lock ordering: dispatch mutex -> worker mutex, never the reverse.
+// Lock ordering: dispatch mutex -> timer heap mutex (and -> fault retry
+// heap mutex), never the reverse; the heap mutexes are leaves.
 #pragma once
 
 #include "batch/continuous.h"
@@ -41,8 +58,6 @@ struct TestbedConfig {
   /// Network + host-device overhead added per request (the quantity the
   /// simulator calibrates to in §5.2.1).
   SimDuration per_request_overhead = Millis(0.8);
-  /// Precision knob: the final stretch of each wait is busy-spun.
-  SimDuration spin_threshold = Micros(200.0);
 
   /// Dynamic batching (§6 extension): a worker pulls up to this many queued
   /// requests per pick and executes them as one padded batch via
@@ -50,9 +65,9 @@ struct TestbedConfig {
   int max_batch = 1;
   /// Batch formation policy (not owned; must outlive the run).  Null means
   /// batch::GreedyBatcher — take whatever is queued, immediately, which is
-  /// the historical behaviour.  Policies that wait (e.g. "slo") do so on
-  /// the worker's condition variable, so kills, retirement, and new
-  /// arrivals interrupt the wait promptly.  See docs/BATCHING.md.
+  /// the historical behaviour.  Policies that wait (e.g. "slo") arm a
+  /// formation deadline on the timer; kills, retirement and new arrivals
+  /// supersede it at once.  See docs/BATCHING.md.
   const batch::BatchPolicy* batch_policy = nullptr;
 
   /// Generative (autoregressive) serving (not owned; must outlive the run).
@@ -64,7 +79,8 @@ struct TestbedConfig {
   const batch::GenerativeConfig* generative = nullptr;
 
   /// Optional telemetry sink (not owned; must outlive the run).  Construct
-  /// it with Concurrency::kMultiThreaded — workers record concurrently.
+  /// it with Concurrency::kMultiThreaded — the timer, fault and frontend
+  /// threads record concurrently.
   /// Snapshots are driven by a wall-clock thread at the sink's period
   /// (in scaled, i.e. simulated, time).  Null disables telemetry.
   telemetry::TelemetrySink* telemetry = nullptr;

@@ -3,8 +3,8 @@
 // handful of relaxed atomic operations and never touch the registry again
 // after the first lookup.
 //
-// Concurrency model.  The threaded testbed records from every worker thread
-// plus the frontend while the dispatch mutex is hot, so counters and
+// Concurrency model.  The threaded testbed records from its timer, fault and
+// ticker threads plus the frontend while the dispatch mutex is hot, so counters and
 // histograms shard their cells across cache lines and threads pick a shard
 // from a per-thread token (no CAS loops, no false sharing).  The
 // deterministic simulator is single-threaded; constructing the registry with

@@ -113,6 +113,38 @@ TEST(CliFlags, RejectUnknownHonorsExtraKnown) {
   EXPECT_NO_THROW(flags.RejectUnknown({"pattern"}));
 }
 
+TEST(CliFlags, HelpListsTheValidFlagsInsteadOfRejecting) {
+  const char* argv[] = {"prog", "--help", "--typo=1"};
+  CliFlags flags(3, argv);
+  (void)flags.GetInt("rate", 0);
+  try {
+    flags.RejectUnknown({"seed"});
+    FAIL() << "expected CliHelpRequested";
+  } catch (const CliHelpRequested& help) {
+    EXPECT_STREQ(help.what(), "valid flags: --rate, --seed, --help\n");
+  }
+}
+
+TEST(CliFlags, MalformedNumbersNameTheFlag) {
+  const char* argv[] = {"prog", "--gpus=4x", "--rate=",
+                        "--big=99999999999999999999"};
+  CliFlags flags(4, argv);
+  const auto message = [](auto read) {
+    try {
+      read();
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no throw");
+  };
+  EXPECT_EQ(message([&] { (void)flags.GetInt("gpus", 0); }),
+            "bad --gpus value '4x' (want an integer)");
+  EXPECT_EQ(message([&] { (void)flags.GetDouble("rate", 0.0); }),
+            "bad --rate value '' (want a number)");
+  EXPECT_EQ(message([&] { (void)flags.GetInt("big", 0); }),
+            "bad --big value '99999999999999999999' (want an integer)");
+}
+
 TEST(ThreadPool, ExecutesSubmittedTasks) {
   ThreadPool pool(2);
   auto f1 = pool.Submit([] { return 21 * 2; });

@@ -3,11 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "baselines/scenario.h"
+#include "batch/continuous.h"
+#include "batch/policy.h"
 #include "fault/fault_plan.h"
+#include "runtime/runtime_set.h"
+#include "serving/live_testbed.h"
 #include "sim/engine.h"
+#include "trace/generative.h"
 #include "trace/twitter.h"
 
 namespace arlo::serving {
@@ -198,6 +206,221 @@ TEST(Testbed, AgreesWithSimulatorOnLightTraffic) {
   }
 
   EXPECT_NEAR(tb_mean, sim_mean, 0.30 * sim_mean + 0.5);
+}
+
+// ---------------------------------------------------------------------------
+// The emulation timer (testbed.h): emulated GPUs are deadlines on one
+// timer thread, so the thread count is fixed, no service ends before its
+// modeled time, and a kill anywhere in a batch's life loses nothing.  Runs
+// under TSan and ASan in check.sh (filter TestbedTimer.*).
+
+int ProcessThreads() {
+  int threads = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++threads;
+  }
+  return threads;
+}
+
+/// Threads in this process while a LiveTestbed with `gpus` emulated GPUs
+/// holds two requests per GPU in service.
+int ThreadsWhileServing(int gpus, const batch::GenerativeConfig* gen) {
+  ScenarioConfig config;
+  config.gpus = gpus;
+  auto scheme = MakeSchemeByName("st", config);
+  TestbedConfig tb;
+  tb.time_scale = 0.5;
+  tb.generative = gen;
+  LiveTestbed testbed(*scheme, tb);
+  testbed.Start();
+  const int submitted = 2 * gpus;
+  for (int i = 0; i < submitted; ++i) {
+    Request r;
+    r.id = static_cast<RequestId>(i);
+    r.arrival = testbed.Now();
+    r.length = 64;
+    r.decode_len = gen != nullptr ? 4 : 0;
+    testbed.Submit(r);
+  }
+  const int threads = ProcessThreads();
+  const TestbedResult result = testbed.Finish();
+  EXPECT_EQ(result.records.size(), static_cast<std::size_t>(submitted));
+  EXPECT_EQ(result.peak_workers, gpus);
+  return threads;
+}
+
+TEST(TestbedTimer, ThreadCountDoesNotGrowWithEmulatedGpus) {
+  EXPECT_EQ(ThreadsWhileServing(2, nullptr), ThreadsWhileServing(32, nullptr));
+  batch::GenerativeConfig gen;
+  EXPECT_EQ(ThreadsWhileServing(2, &gen), ThreadsWhileServing(32, &gen));
+}
+
+TEST(TestbedTimer, NoBatchCompletesBeforeItsModeledServiceTime) {
+  ScenarioConfig config;
+  config.gpus = 2;
+  config.max_batch = 4;
+  auto scheme = MakeSchemeByName("st", config);
+  // Past the unbatched capacity, so real multi-request batches form.
+  const trace::Trace t = TinyTrace(400.0, 1.5, 21);
+  TestbedConfig tb;
+  tb.time_scale = 0.5;
+  tb.max_batch = 4;
+  const TestbedResult result = RunTestbed(t, *scheme, tb);
+  ASSERT_EQ(result.records.size(), t.Size());
+
+  runtime::SimulatedCompiler compiler;
+  const runtime::RuntimeSet st =
+      runtime::MakeSingleStaticSet(compiler, config.model);
+  // The members of one batch share their instance and start time.
+  std::map<std::pair<InstanceId, SimTime>, std::vector<const RequestRecord*>>
+      batches;
+  for (const RequestRecord& r : result.records) {
+    batches[{r.instance, r.start}].push_back(&r);
+  }
+  int multi = 0;
+  for (const auto& [key, members] : batches) {
+    const int n = static_cast<int>(members.size());
+    int max_len = 1;
+    for (const RequestRecord* r : members) {
+      max_len = std::max(max_len, r->length);
+    }
+    const SimDuration modeled =
+        n * tb.per_request_overhead +
+        st.Runtime(members.front()->runtime).BatchComputeTime(n, max_len);
+    if (n > 1) ++multi;
+    for (const RequestRecord* r : members) {
+      EXPECT_GE(r->completion - r->start, modeled) << "request " << r->id;
+    }
+  }
+  EXPECT_GT(multi, 0);
+}
+
+TEST(TestbedTimer, NoGenerativeIterationEndsBeforeItsModeledTime) {
+  trace::TwitterTraceConfig tc;
+  tc.duration_s = 1.0;
+  tc.mean_rate = 120.0;
+  tc.seed = 31;
+  tc.decode_lengths = trace::ParseDecodeLengthDist("short");
+  const trace::Trace t = trace::SynthesizeTwitterTrace(tc);
+  ScenarioConfig config;
+  config.gpus = 2;
+  auto scheme = MakeSchemeByName("st", config);
+  batch::GenerativeConfig gen;
+  gen.kv_capacity = 4;
+  TestbedConfig tb;
+  tb.time_scale = 0.25;
+  tb.generative = &gen;
+  const TestbedResult result = RunTestbed(t, *scheme, tb);
+  ASSERT_EQ(result.records.size(), t.Size());
+  EXPECT_GT(result.gen_decode_iterations, 0u);
+
+  runtime::SimulatedCompiler compiler;
+  const runtime::RuntimeSet st =
+      runtime::MakeSingleStaticSet(compiler, config.model);
+  // Iteration times only grow with batch size and context, so a lone
+  // sequence at its own prompt length bounds every iteration from below:
+  // its (last) prefill, then decode_len - 1 decode steps.
+  for (const RequestRecord& r : result.records) {
+    const runtime::CompiledRuntime& rt = st.Runtime(r.runtime);
+    EXPECT_GE(r.first_token - r.start,
+              tb.per_request_overhead + rt.BatchComputeTime(1, r.length))
+        << "request " << r.id;
+    EXPECT_GE(r.completion - r.first_token,
+              (std::max(1, r.decode_len) - 1) * rt.DecodeStepTime(1, r.length))
+        << "request " << r.id;
+  }
+}
+
+/// Submits `count` requests at once and returns the run's result;
+/// `callbacks[id]` counts each request's completion callbacks.
+TestbedResult SubmitBurstAndFinish(LiveTestbed& testbed, int count,
+                                   int decode_len,
+                                   std::vector<int>& callbacks) {
+  callbacks.assign(static_cast<std::size_t>(count), 0);
+  for (int i = 0; i < count; ++i) {
+    Request r;
+    r.id = static_cast<RequestId>(i);
+    r.arrival = testbed.Now();
+    r.length = 64;
+    r.decode_len = decode_len;
+    // Runs on the timer thread; Finish() joins it before we read.
+    testbed.Submit(r, [&callbacks](const RequestRecord& record) {
+      ++callbacks[record.id];
+    });
+  }
+  return testbed.Finish();
+}
+
+TEST(TestbedTimer, KillDuringFormationWaitCompletesEachSubmitOnce) {
+  ScenarioConfig config;
+  config.gpus = 2;
+  config.max_batch = 4;
+  auto scheme = MakeSchemeByName("st", config);
+  // A lax SLO: a short queue waits the whole 1 s cap for its batch.
+  batch::BatchPolicyConfig bpc;
+  bpc.slo = Seconds(4.0);
+  bpc.max_wait = Seconds(1.0);
+  const auto policy = batch::MakeBatchPolicy("slo", bpc);
+  fault::FaultPlan plan;
+  plan.CrashAt(Millis(100.0), 0);
+  TestbedConfig tb;
+  tb.time_scale = 0.5;
+  tb.max_batch = 4;
+  tb.batch_policy = policy.get();
+  tb.fault_plan = &plan;
+  LiveTestbed testbed(*scheme, tb);
+  testbed.Start();
+  std::vector<int> callbacks;
+  const TestbedResult result =
+      SubmitBurstAndFinish(testbed, 2, /*decode_len=*/0, callbacks);
+
+  EXPECT_EQ(callbacks, std::vector<int>(2, 1));
+  ASSERT_EQ(result.records.size(), 2u);
+  EXPECT_EQ(result.injected_failures, 1);
+  EXPECT_GE(result.requeues, 1u);
+  for (const RequestRecord& r : result.records) {
+    // Nothing started before the kill: it landed inside the formation wait.
+    EXPECT_GE(r.start, Millis(100.0)) << "request " << r.id;
+    EXPECT_NE(r.instance, 0u) << "request " << r.id;
+  }
+}
+
+TEST(TestbedTimer, KillMidServiceCompletesEachSubmitOnce) {
+  batch::GenerativeConfig gen;
+  const batch::GenerativeConfig* const modes[] = {&gen, nullptr};
+  for (const batch::GenerativeConfig* mode : modes) {
+    SCOPED_TRACE(mode != nullptr ? "generative" : "one-shot");
+    ScenarioConfig config;
+    config.gpus = 2;
+    auto scheme = MakeSchemeByName("st", config);
+    // A 400 ms per-request overhead makes every batch (and prefill) long,
+    // so the crash at 60 ms lands while worker 0 is mid-service.
+    fault::FaultPlan plan;
+    plan.CrashAt(Millis(60.0), 0);
+    TestbedConfig tb;
+    tb.time_scale = 0.5;
+    tb.per_request_overhead = Millis(400.0);
+    tb.fault_plan = &plan;
+    tb.generative = mode;
+    LiveTestbed testbed(*scheme, tb);
+    testbed.Start();
+    std::vector<int> callbacks;
+    const TestbedResult result = SubmitBurstAndFinish(
+        testbed, 2, /*decode_len=*/mode != nullptr ? 3 : 0, callbacks);
+
+    EXPECT_EQ(callbacks, std::vector<int>(2, 1));
+    ASSERT_EQ(result.records.size(), 2u);
+    EXPECT_EQ(result.injected_failures, 1);
+    EXPECT_GE(result.requeues, 1u);
+    int restarted = 0;
+    for (const RequestRecord& r : result.records) {
+      EXPECT_NE(r.instance, 0u) << "request " << r.id;
+      if (r.start >= Millis(60.0)) ++restarted;
+    }
+    EXPECT_GE(restarted, 1);  // the killed request ran again from the start
+  }
 }
 
 }  // namespace
