@@ -17,11 +17,11 @@
 # continuous batching must not lose to the static baseline on ITL p98),
 # smoke the tenant bench (weighted-fair cell must hold the interactive
 # class within its SLO), then re-run the concurrency-sensitive tests
-# (threaded testbed + batching + emulation timer + net frontend + sharded
-# telemetry + admin plane + cluster router + cross-hop tracing) under
-# ThreadSanitizer, and
-# the socket/protocol + testbed-batching + testbed-timer + admin-plane +
-# cluster-policy + tracing tests under Address+UBSanitizer.
+# (threaded testbed + batching + emulation timer and its decode runs + net
+# frontend + sharded telemetry + admin plane + cluster router + cross-hop
+# tracing) under ThreadSanitizer, and
+# the socket/protocol + testbed-batching + testbed-timer + continuous-batcher
+# + admin-plane + cluster-policy + tracing tests under Address+UBSanitizer.
 #
 #   scripts/check.sh            # full gate
 #   scripts/check.sh --no-tsan  # skip the TSan stage (fast local loop)
@@ -389,7 +389,7 @@ if [[ "$run_tsan" == 1 ]]; then
   # halt_on_error so a reported race fails the gate rather than scrolling by.
   TSAN_OPTIONS="halt_on_error=1" \
     ./build-tsan/tests/arlo_tests \
-    --gtest_filter='Testbed.*:TestbedBatching.*:TestbedTimer.*:GenerativeTestbed.*:TelemetryConcurrency.*:TelemetrySinkTest.*:NetLoopback.*:ObsAdmin*:ObsFlightRecorder.*:ClusterPolicy.*:ClusterRouter.*:TenantClassTable.*:TenantDispatchQueue.*:TenantAdmission.*:CtrlDrift.*:CtrlPlanner.*:CtrlLive.*:TraceWire*:TraceStages.*:TraceCluster.*:TraceProbe.*'
+    --gtest_filter='Testbed.*:TestbedBatching.*:TestbedTimer.*:GenerativeTestbed.*:ContinuousBatcher.*:TelemetryConcurrency.*:TelemetrySinkTest.*:NetLoopback.*:ObsAdmin*:ObsFlightRecorder.*:ClusterPolicy.*:ClusterRouter.*:TenantClassTable.*:TenantDispatchQueue.*:TenantAdmission.*:CtrlDrift.*:CtrlPlanner.*:CtrlLive.*:TraceWire*:TraceStages.*:TraceCluster.*:TraceProbe.*'
 fi
 
 if [[ "$run_asan" == 1 ]]; then
@@ -397,7 +397,7 @@ if [[ "$run_asan" == 1 ]]; then
   cmake -B build-asan -S . -DARLO_ASAN=ON >/dev/null
   cmake --build build-asan -j "$(nproc)" --target arlo_tests
   ./build-asan/tests/arlo_tests \
-    --gtest_filter='NetProtocol*:NetClient.*:Admission.*:NetLoopback.*:TestbedBatching.*:TestbedTimer.*:GenerativeTestbed.*:ObsAdmin*:ObsHttp.*:ClusterPolicy.*:TenantClassTable.*:TenantDispatchQueue.*:TenantAdmission.*:CtrlDrift.*:CtrlPlanner.*:CtrlLive.*:TraceWire*:TraceStages.*:TraceCluster.*:TraceProbe.*'
+    --gtest_filter='NetProtocol*:NetClient.*:Admission.*:NetLoopback.*:TestbedBatching.*:TestbedTimer.*:GenerativeTestbed.*:ContinuousBatcher.*:ObsAdmin*:ObsHttp.*:ClusterPolicy.*:TenantClassTable.*:TenantDispatchQueue.*:TenantAdmission.*:CtrlDrift.*:CtrlPlanner.*:CtrlLive.*:TraceWire*:TraceStages.*:TraceCluster.*:TraceProbe.*'
 fi
 
 echo "== check.sh: all green =="

@@ -1,5 +1,6 @@
 #include "batch/continuous.h"
 
+#include <limits>
 #include <stdexcept>
 
 #include "common/check.h"
@@ -170,6 +171,23 @@ ContinuousBatcher::IterationResult ContinuousBatcher::CompleteIteration(
   if (resident_.empty()) static_cohort_ = 0;
   running_ = IterationPlan{};
   return result;
+}
+
+int ContinuousBatcher::DecodeRunLength() const {
+  ARLO_CHECK_MSG(running_.kind == IterationPlan::Kind::kDecode,
+                 "DecodeRunLength without a running decode iteration");
+  int run = std::numeric_limits<int>::max();
+  for (const GenSequence& seq : resident_) {
+    run = std::min(run, seq.DecodeTarget() - seq.decoded);
+  }
+  return run;
+}
+
+void ContinuousBatcher::AdvanceDecode(int steps) {
+  ARLO_CHECK_MSG(steps >= 0 && steps < DecodeRunLength(),
+                 "AdvanceDecode past the end of the decode run");
+  for (GenSequence& seq : resident_) seq.decoded += steps;
+  running_.max_len += steps;
 }
 
 std::vector<Item> ContinuousBatcher::StealWaiting() {

@@ -136,6 +136,20 @@ class ContinuousBatcher {
   /// finished sequences.
   IterationResult CompleteIteration(SimTime now);
 
+  /// Decode runs.  Between two membership changes, decode iterations are a
+  /// deterministic chain: the resident set is fixed and every context grows
+  /// by one token per step.  DecodeRunLength is the number of decode
+  /// iterations, counting the running one, until the earliest resident
+  /// reaches its decode target — the iterations BeginIteration plans with
+  /// unchanged membership as long as nothing is enqueued.  Requires a
+  /// running decode iteration.
+  int DecodeRunLength() const;
+  /// Completes `steps` iterations of the running decode and begins the
+  /// next one: the state `steps` CompleteIteration/BeginIteration pairs
+  /// leave, none of which may finish a sequence (steps < DecodeRunLength()).
+  /// Allocates nothing.
+  void AdvanceDecode(int steps);
+
   /// Drain support.  StealWaiting empties only the waiting queue (instance
   /// retirement: residents — and any in-flight iteration — finish in
   /// place); StealAll also evicts residents and aborts the in-flight

@@ -114,7 +114,7 @@ struct LiveTestbed::Impl final : public sim::ClusterOps {
     std::vector<batch::Item> batch;  ///< one-shot in-flight batch
     int executing = 0;               ///< in-flight batch size (0 = idle)
     SimTime service_start = 0;       ///< in-flight batch/iteration start
-    SimTime service_end = 0;         ///< ... and its modeled end
+    SimTime service_end = 0;         ///< modeled end: the armed deadline
     bool ready = false;
     bool retiring = false;
     bool gone = false;
@@ -129,6 +129,17 @@ struct LiveTestbed::Impl final : public sim::ClusterOps {
     /// Generative mode only: `queue` stays empty; waiting and resident
     /// sequences live in the iteration-level batcher instead.
     std::unique_ptr<batch::ContinuousBatcher> gen;
+    /// Generative decode run (testbed.h): `decode` is the plan of the
+    /// iteration in flight, which ends at `step_end`; `run_left` more
+    /// iterations chain after it at their modeled times, and service_end
+    /// ends the last of them.  run_left is 0 outside a decode run.
+    batch::IterationPlan decode;
+    SimTime step_end = 0;
+    int run_left = 0;
+    /// A cut run's last step ended here, unobserved: the next iteration
+    /// begins at this modeled time, not at the timer's wake.  -1 = none.
+    SimTime chain_at = -1;
+    SimTime last_enqueue = 0;  ///< latest dispatch into the batcher
     /// Bumped on every arm and disarm of this worker's timer.  A heap entry
     /// fires only while its epoch still matches, so a kill, a retirement or
     /// a re-decided formation wait never has to search the heap.
@@ -174,9 +185,14 @@ struct LiveTestbed::Impl final : public sim::ClusterOps {
   void StartNextLocked(InstanceId id);
   void StartBatchLocked(InstanceId id);
   void StartIterationLocked(InstanceId id);
+  SimDuration DecodeStepTime(const Worker& w, int max_len, SimTime start) const;
+  void SettleRunLocked(InstanceId id, SimTime upto);
+  void SettleAllLocked(SimTime upto);
+  void CutRunLocked(InstanceId id);
+  void ObserveIteration(SimDuration duration);
   void EndServiceLocked(InstanceId id, bool after_hang);
   void CompleteBatchLocked(InstanceId id);
-  void CompleteIterationLocked(InstanceId id);
+  void CompleteIterationLocked(InstanceId id, bool after_hang);
   void CompleteRequestLocked(const RequestRecord& record,
                              std::int64_t observed_service);
 
@@ -232,6 +248,7 @@ struct LiveTestbed::Impl final : public sim::ClusterOps {
   std::uint64_t gen_prefill_iters_ = 0;
   std::uint64_t gen_decode_iters_ = 0;
   std::uint64_t gen_preemptions_ = 0;
+  std::int64_t gen_resident_ = 0;  ///< resident sequences, all workers
   std::atomic<bool> stopping_{false};
 
   // Relaxed mirrors of the counters above, so frontend/admission threads can
@@ -246,6 +263,10 @@ struct LiveTestbed::Impl final : public sim::ClusterOps {
   /// batch launched (ns, alpha = 1/8).  Adds the wait-for-k delay component
   /// to EstimatedQueueDelay so admission estimates track waiting policies.
   std::atomic<std::int64_t> ewma_form_ns_{0};
+  /// Generative mode: relaxed mirror of gen_resident_, and the EWMA of
+  /// iteration durations (prefill and decode steps; ns, alpha = 1/8).
+  std::atomic<std::int64_t> resident_rel_{0};
+  std::atomic<std::int64_t> ewma_iter_ns_{0};
 
   std::thread ticker_;
   std::thread snapshotter_;
@@ -399,7 +420,9 @@ InstanceId LiveTestbed::Impl::DispatchLocked(const Request& request) {
   ARLO_CHECK_MSG(w.ready && !w.retiring && !w.gone,
                  "scheme selected an unavailable worker");
   if (w.gen) {
-    w.gen->Enqueue(batch::Item{request, Now()});
+    w.last_enqueue = Now();
+    w.gen->Enqueue(batch::Item{request, w.last_enqueue});
+    CutRunLocked(id);  // the next boundary may admit it
   } else {
     w.queue.push_back(batch::Item{request, Now()});
   }
@@ -440,7 +463,12 @@ bool LiveTestbed::Impl::KillWorkerLocked(InstanceId id) {
   if (w.gen) {
     // Crash loses the KV caches: waiting AND resident sequences (including
     // any in-flight iteration's) are re-dispatched and prefill again
-    // (recompute) on whichever worker they land on next.
+    // (recompute) on whichever worker they land on next.  The decode steps
+    // that ended before the crash still count.
+    SettleRunLocked(id, Now());
+    w.run_left = 0;
+    gen_resident_ -= w.gen->ResidentCount();
+    resident_rel_.store(gen_resident_, std::memory_order_relaxed);
     orphans = w.gen->StealAll();
   } else {
     // Queued requests first, then the in-flight batch, as the simulator
@@ -485,6 +513,7 @@ void LiveTestbed::Impl::ApplyPlanEventLocked(const fault::FaultEvent& event) {
       if (event.instance >= workers_.size() || event.duration <= 0) return;
       Worker& w = *workers_[event.instance];
       if (!w.ready || w.retiring || w.gone) return;
+      CutRunLocked(event.instance);
       w.hung_until = std::max(w.hung_until, Now() + event.duration);
       ++faults_injected_;
       if (config_.telemetry) {
@@ -500,6 +529,7 @@ void LiveTestbed::Impl::ApplyPlanEventLocked(const fault::FaultEvent& event) {
       }
       Worker& w = *workers_[event.instance];
       if (!w.ready || w.retiring || w.gone) return;
+      CutRunLocked(event.instance);  // its chain was priced at the old pace
       w.slow_until = std::max(w.slow_until, Now() + event.duration);
       w.slow_factor = event.factor;
       ++faults_injected_;
@@ -516,6 +546,8 @@ std::vector<InstanceId> LiveTestbed::Impl::FindHungLocked(SimTime now) {
   // dispatch_mu_ held.  The tracker decides "held work, no progress past
   // the timeout"; the callback supplies live outstanding, reporting 0 for
   // provisioning/retiring/dead workers so only servable hangs are reaped.
+  // Decode steps that ended by now are progress, settled or not.
+  SettleAllLocked(now);
   return health_.FindHung(now, [this](InstanceId id) {
     if (id >= workers_.size()) return 0;
     const Worker& w = *workers_[id];
@@ -755,38 +787,108 @@ void LiveTestbed::Impl::StartBatchLocked(InstanceId id) {
 
 void LiveTestbed::Impl::StartIterationLocked(InstanceId id) {
   Worker& w = *workers_[id];
-  const SimTime now = Now();
+  // After a cut, the iteration begins where the cut step ended, or when the
+  // last prompt it may admit was dispatched, never before.
+  const SimTime now =
+      w.chain_at >= 0 ? std::max(w.chain_at, w.last_enqueue) : Now();
+  w.chain_at = -1;
+  const int resident_before = w.gen->ResidentCount();
   const batch::IterationPlan plan = w.gen->BeginIteration(now);
   ARLO_CHECK(plan.kind != batch::IterationPlan::Kind::kNone);
+  gen_resident_ += w.gen->ResidentCount() - resident_before;
+  resident_rel_.store(gen_resident_, std::memory_order_relaxed);
   w.executing = plan.batch;
+  w.service_start = now;
   health_.OnProgress(id, now);
-
-  SimDuration service;
-  if (plan.kind == batch::IterationPlan::Kind::kPrefill) {
-    service = static_cast<SimDuration>(plan.batch) *
-                  config_.per_request_overhead +
-              w.rt->BatchComputeTime(plan.batch, plan.max_len);
-  } else {
-    service = w.rt->DecodeStepTime(plan.billed_batch, plan.max_len);
-  }
-  if (now < w.slow_until) {
-    service = static_cast<SimDuration>(static_cast<double>(service) *
-                                       w.slow_factor);
-  }
   gen_preemptions_ += static_cast<std::uint64_t>(plan.preempted);
-  if (plan.kind == batch::IterationPlan::Kind::kPrefill) {
+
+  if (plan.kind == batch::IterationPlan::Kind::kDecode) {
+    // A decode run: chain its iterations back to back at their modeled
+    // times and arm only the last end.  SettleRunLocked replays the others.
+    w.decode = plan;
+    w.run_left = w.gen->DecodeRunLength() - 1;
+    w.step_end = now + DecodeStepTime(w, plan.max_len, now);
+    w.service_end = w.step_end;
+    for (int i = 1; i <= w.run_left; ++i) {
+      w.service_end += DecodeStepTime(w, plan.max_len + i, w.service_end);
+    }
+    ++gen_decode_iters_;
+  } else {
+    SimDuration service =
+        static_cast<SimDuration>(plan.batch) * config_.per_request_overhead +
+        w.rt->BatchComputeTime(plan.batch, plan.max_len);
+    if (now < w.slow_until) {
+      service = static_cast<SimDuration>(static_cast<double>(service) *
+                                         w.slow_factor);
+    }
     ++batches_formed_;
     ++gen_prefill_iters_;
     if (config_.telemetry) {
       config_.telemetry->RecordGenPrefill(now, id, plan.batch, plan.preempted,
                                           service);
     }
-  } else {
-    ++gen_decode_iters_;
+    w.service_end = now + service;
   }
-  w.service_start = now;
-  w.service_end = now + service;
   ArmLocked(id, TimerKind::kServiceDone, w.service_end);
+}
+
+SimDuration LiveTestbed::Impl::DecodeStepTime(const Worker& w, int max_len,
+                                              SimTime start) const {
+  const SimDuration step = w.rt->DecodeStepTime(w.decode.billed_batch, max_len);
+  return start < w.slow_until
+             ? static_cast<SimDuration>(static_cast<double>(step) *
+                                        w.slow_factor)
+             : step;
+}
+
+void LiveTestbed::Impl::SettleRunLocked(InstanceId id, SimTime upto) {
+  // Replays the run's iterations that ended by `upto`, short of its last
+  // (the armed deadline delivers that one): each ends at its modeled time
+  // and the next begins there, exactly as if the timer had fired on time.
+  Worker& w = *workers_[id];
+  int steps = 0;
+  while (w.run_left > 0 && w.step_end <= upto) {
+    const SimDuration step = w.step_end - w.service_start;
+    if (config_.telemetry) {
+      config_.telemetry->RecordGenDecodeStep(w.step_end, id, w.decode.batch,
+                                             step);
+    }
+    ObserveIteration(step);
+    w.service_start = w.step_end;
+    ++w.decode.max_len;
+    w.step_end += DecodeStepTime(w, w.decode.max_len, w.service_start);
+    --w.run_left;
+    ++steps;
+  }
+  if (steps == 0) return;
+  w.gen->AdvanceDecode(steps);
+  gen_decode_iters_ += static_cast<std::uint64_t>(steps);
+  health_.OnProgress(id, w.service_start);
+}
+
+void LiveTestbed::Impl::SettleAllLocked(SimTime upto) {
+  for (InstanceId id = 0; id < workers_.size(); ++id) {
+    if (workers_[id]->run_left > 0) SettleRunLocked(id, upto);
+  }
+}
+
+void LiveTestbed::Impl::CutRunLocked(InstanceId id) {
+  // Ends the decode run with the iteration in flight now — the first
+  // boundary at or after now — because what the worker runs after it may
+  // change (an arrival to admit, a hang, a new pace).
+  Worker& w = *workers_[id];
+  if (w.run_left == 0) return;
+  SettleRunLocked(id, Now() - 1);
+  if (w.run_left == 0) return;  // already on the run's last iteration
+  w.run_left = 0;
+  w.service_end = w.step_end;
+  ArmLocked(id, TimerKind::kServiceDone, w.service_end);
+}
+
+void LiveTestbed::Impl::ObserveIteration(SimDuration duration) {
+  const std::int64_t prev = ewma_iter_ns_.load(std::memory_order_relaxed);
+  ewma_iter_ns_.store(prev == 0 ? duration : prev - prev / 8 + duration / 8,
+                      std::memory_order_relaxed);
 }
 
 void LiveTestbed::Impl::EndServiceLocked(InstanceId id, bool after_hang) {
@@ -802,7 +904,7 @@ void LiveTestbed::Impl::EndServiceLocked(InstanceId id, bool after_hang) {
     config_.telemetry->RecordFaultRecover(Now(), id);
   }
   if (w.gen) {
-    CompleteIterationLocked(id);
+    CompleteIterationLocked(id, after_hang);
   } else {
     CompleteBatchLocked(id);
   }
@@ -812,6 +914,7 @@ void LiveTestbed::Impl::EndServiceLocked(InstanceId id, bool after_hang) {
   if (drained) FinalizeRetirementLocked(id);
   RetryBufferedLocked();
   if (!drained) StartNextLocked(id);
+  w.chain_at = -1;
   if (completed_ >= submitted_) all_done_cv_.notify_all();
 }
 
@@ -841,16 +944,30 @@ void LiveTestbed::Impl::CompleteBatchLocked(InstanceId id) {
   w.executing = 0;
 }
 
-void LiveTestbed::Impl::CompleteIterationLocked(InstanceId id) {
+void LiveTestbed::Impl::CompleteIterationLocked(InstanceId id,
+                                                bool after_hang) {
   Worker& w = *workers_[id];
   const SimTime completion = std::max(Now(), w.service_end);
+  SettleRunLocked(id, completion);
+  ARLO_CHECK(w.run_left == 0);
   batch::ContinuousBatcher::IterationResult result =
       w.gen->CompleteIteration(completion);
   w.executing = 0;
+  gen_resident_ -= static_cast<std::int64_t>(result.finished.size());
+  resident_rel_.store(gen_resident_, std::memory_order_relaxed);
+  // First tokens and finishes are observed, so they are stamped when the
+  // timer delivers them.  A cut step that yields neither is not: it ends,
+  // and the next iteration chains, at its modeled time (unless a hang
+  // froze it, which ends now).
+  const bool observed = after_hang || !result.first_tokens.empty() ||
+                        !result.finished.empty();
+  const SimTime end = observed ? completion : w.service_end;
+  w.chain_at = observed ? -1 : end;
+  ObserveIteration(end - w.service_start);
   if (config_.telemetry) {
     if (result.plan.kind == batch::IterationPlan::Kind::kDecode) {
-      config_.telemetry->RecordGenDecodeStep(completion, id, result.plan.batch,
-                                             completion - w.service_start);
+      config_.telemetry->RecordGenDecodeStep(end, id, result.plan.batch,
+                                             end - w.service_start);
     }
     for (const batch::Item& item : result.first_tokens) {
       config_.telemetry->RecordGenFirstToken(
@@ -905,15 +1022,11 @@ void LiveTestbed::Impl::CompleteRequestLocked(const RequestRecord& record,
 
 void LiveTestbed::Impl::UpdateGenGaugesLocked() {
   if (!config_.telemetry || !config_.generative) return;
-  std::int64_t resident = 0;
-  std::int64_t capacity = 0;
-  for (const auto& worker : workers_) {
-    const Worker& w = *worker;
-    if (w.gone || !w.gen) continue;
-    resident += w.gen->ResidentCount();
-    capacity += w.gen->KvCapacity();
-  }
-  config_.telemetry->SetGenKvGauges(resident, capacity);
+  // Gone workers hold no residents: a kill steals them and a retirement
+  // finalizes only once idle.
+  config_.telemetry->SetGenKvGauges(
+      gen_resident_, static_cast<std::int64_t>(live_workers_) *
+                         config_.generative->kv_capacity);
 }
 
 void LiveTestbed::Impl::UpdateClusterGaugesLocked() {
@@ -1014,6 +1127,7 @@ TestbedHealth LiveTestbed::Impl::Health() {
 void LiveTestbed::Impl::WriteStatusJson(std::ostream& os) {
   std::lock_guard global(dispatch_mu_);
   const SimTime now = Now();
+  SettleAllLocked(now);  // so idle_s reads the last decode step's start
   os << "{\"time_s\":" << ToSeconds(now) << ",\"submitted\":" << submitted_
      << ",\"completed\":" << completed_ << ",\"inflight\":" << outstanding_
      << ",\"buffered\":" << buffer_.Size()
@@ -1097,12 +1211,28 @@ void LiveTestbed::Impl::WriteStatusJson(std::ostream& os) {
 }
 
 SimDuration LiveTestbed::Impl::EstimatedQueueDelay() const {
-  const std::int64_t service = ewma_service_ns_.load(std::memory_order_relaxed);
   const int workers = std::max(1, live_rel_.load(std::memory_order_relaxed));
   const std::int64_t in_system =
       std::max<std::int64_t>(0, submitted_rel_.load(std::memory_order_relaxed) -
                                     completed_rel_.load(
                                         std::memory_order_relaxed));
+  if (const batch::GenerativeConfig* gen = config_.generative) {
+    // Up to kv_capacity sequences per worker decode at once, so resident
+    // decode time is not queueing.  A new prompt waits out the rest of the
+    // iteration in flight (half of one, on average), then one iteration per
+    // prefill cohort waiting ahead of it.  Admission that waits for the
+    // resident set to drain (static, decode-first) waits longer than this.
+    const std::int64_t waiting = std::max<std::int64_t>(
+        0, in_system - resident_rel_.load(std::memory_order_relaxed));
+    const int cohort = gen->mode == batch::GenBatcherMode::kStatic
+                           ? gen->kv_capacity
+                           : gen->max_prefill_batch;
+    const std::int64_t cohorts_ahead =
+        waiting / (static_cast<std::int64_t>(workers) * cohort);
+    const std::int64_t iter = ewma_iter_ns_.load(std::memory_order_relaxed);
+    return static_cast<SimDuration>(iter / 2 + iter * cohorts_ahead);
+  }
+  const std::int64_t service = ewma_service_ns_.load(std::memory_order_relaxed);
   // Formation wait: a waiting batch policy (e.g. "slo") holds requests in
   // the worker queue past their dispatch, which per-request service EWMAs
   // cannot see.  Its own EWMA adds that delay so admission keeps tracking.
@@ -1196,6 +1326,19 @@ TestbedResult LiveTestbed::Finish() { return impl_->Finish(); }
 
 TestbedResult RunTestbed(const trace::Trace& trace, sim::Scheme& scheme,
                          const TestbedConfig& config) {
+  // Replay arrivals with exact wake-ups, as the emulation timer does: under
+  // the default 50 us timer slack every submit lands up to that late, and
+  // later the idler the host is.  The caller's slack is restored on return.
+  struct ExactWakeups {
+    const int saved = prctl(PR_GET_TIMERSLACK, 0UL, 0UL, 0UL, 0UL);
+    ExactWakeups() { prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL); }
+    ~ExactWakeups() {
+      if (saved > 0) {
+        prctl(PR_SET_TIMERSLACK, static_cast<unsigned long>(saved), 0UL, 0UL,
+              0UL);
+      }
+    }
+  } exact_wakeups;
   LiveTestbed testbed(scheme, config);
   testbed.Start();
   // Replay arrivals at their scaled wall-clock times: request r is due when

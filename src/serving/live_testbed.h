@@ -73,9 +73,12 @@ class LiveTestbed {
   int NumWorkers() const;
 
   /// Rough expected queueing delay for a request submitted now: EWMA of
-  /// observed service times x in-system requests / live workers.  Zero
-  /// until the first completion.  This is the estimate the net admission
-  /// controller compares against request deadlines for early rejection.
+  /// observed service times x in-system requests / live workers.  A
+  /// generative node, which holds many sequences at once, uses its
+  /// iteration cadence instead: EWMA of iteration durations x (1/2 + prefill
+  /// cohorts waiting per worker).  Zero until the first completion (first
+  /// iteration).  This is the estimate the net admission controller
+  /// compares against request deadlines for early rejection.
   SimDuration EstimatedQueueDelay() const;
 
   /// Point-in-time liveness report (admin /healthz).  Runs a hang scan with

@@ -17,6 +17,25 @@
 // runs with 1 ns timer slack (PR_SET_TIMERSLACK) instead of spinning, so
 // neither host CPU nor thread count grows with the number of instances.
 //
+// Decode runs.  The timer wakes once per observable output, not once per
+// token.  Between membership changes a generative instance's decode
+// iterations are a deterministic chain (fixed batch, context +1 per step,
+// slowdown by step start), so starting a decode arms one service deadline
+// at the end of the *run*: the iterations until the earliest resident
+// finishes, chained back to back at their modeled times.  A dispatch to
+// the instance, a hang or a slowdown cuts the run to the iteration in
+// flight (the first boundary at or after now) and re-arms there.  When the
+// deadline fires, the run's earlier iterations are replayed with their
+// exact stamps (decode counters, telemetry steps) and the last completes
+// as before.  Kills, /statusz, Health() and the hang reaper first settle
+// the iterations that ended by now, so decode counts, `executing` and
+// hang progress stay exact; the telemetry decode-step counters can lag by
+// up to one run between snapshots.  Stamps that someone observes (first
+// token, completion) are still taken when the timer delivers them, never
+// before the modeled end; a boundary nobody observes — inside a run, or a
+// cut step that finishes nobody — ends at its modeled time, and the next
+// iteration starts there (or when the last prompt it may admit arrived).
+//
 // Epoch rule.  Each instance has at most one live heap entry: every arm
 // bumps the instance's epoch and stamps the entry with it, and a kill,
 // retirement or re-decided formation wait bumps it too.  The timer skips

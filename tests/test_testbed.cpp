@@ -3,13 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <filesystem>
 #include <map>
+#include <memory>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "baselines/scenario.h"
 #include "batch/continuous.h"
+#include "core/multi_level_queue.h"
 #include "batch/policy.h"
 #include "fault/fault_plan.h"
 #include "runtime/runtime_set.h"
@@ -421,6 +425,317 @@ TEST(TestbedTimer, KillMidServiceCompletesEachSubmitOnce) {
     }
     EXPECT_GE(restarted, 1);  // the killed request ran again from the start
   }
+}
+
+// ---------------------------------------------------------------------------
+// Decode runs (testbed.h): a generative worker arms one deadline per decode
+// run, not one per token.  Whatever lands mid-run — an arrival, a kill, a
+// hang, a slowdown, a retirement, a hang scan — each submit completes
+// exactly once and no record is stamped before its modeled time.
+
+/// The static BERT-base runtime every "st" worker serves.
+const runtime::CompiledRuntime& StRuntime() {
+  static const runtime::RuntimeSet set = [] {
+    runtime::SimulatedCompiler compiler;
+    return runtime::MakeSingleStaticSet(compiler, ScenarioConfig{}.model);
+  }();
+  return set.Runtime(0);
+}
+
+/// Modeled decode time of a lone sequence after its prefill: one batch-1
+/// step per further token, each over its own context.  Every real decode
+/// step is at least as long (more residents, longer contexts, slowdowns).
+SimDuration LoneDecodeTime(int length, int decode_len) {
+  SimDuration total = 0;
+  for (int i = 1; i < decode_len; ++i) {
+    total += StRuntime().DecodeStepTime(1, length + i);
+  }
+  return total;
+}
+
+/// A generative testbed serving on "st" workers, 2x compressed, that counts
+/// each request's completion callbacks.
+class GenRunBed {
+ public:
+  static constexpr int kMaxRequests = 16;
+  static constexpr int kLength = 64;
+
+  explicit GenRunBed(int gpus, const fault::FaultPlan* plan = nullptr,
+                     std::unique_ptr<sim::Scheme> scheme = nullptr)
+      : callbacks_(kMaxRequests, 0) {
+    if (scheme == nullptr) {
+      ScenarioConfig config;
+      config.gpus = gpus;
+      scheme = MakeSchemeByName("st", config);
+    }
+    scheme_ = std::move(scheme);
+    tb_.time_scale = 0.5;
+    tb_.generative = &gen_;
+    tb_.fault_plan = plan;
+  }
+
+  TestbedConfig& Config() { return tb_; }
+  LiveTestbed& Bed() { return *testbed_; }
+
+  void Start() {
+    testbed_ = std::make_unique<LiveTestbed>(*scheme_, tb_);
+    testbed_->Start();
+  }
+
+  void Submit(RequestId id, int decode_len) {
+    ASSERT_LT(id, static_cast<RequestId>(kMaxRequests));
+    Request r;
+    r.id = id;
+    r.arrival = testbed_->Now();
+    r.length = kLength;
+    r.decode_len = decode_len;
+    ++submitted_;
+    // Runs on the timer thread; Finish() joins it before callbacks_ is read.
+    testbed_->Submit(r, [this](const RequestRecord& record) {
+      ++callbacks_[record.id];
+    });
+  }
+
+  /// Sleeps until the testbed's (simulated) clock reaches `t`.
+  void WaitUntil(SimTime t) const {
+    while (testbed_->Now() < t) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  }
+
+  /// Finishes the run and checks the contract every decode-run test shares:
+  /// one callback per submit, one record each, none stamped early.
+  TestbedResult Finish() {
+    TestbedResult result = testbed_->Finish();
+    EXPECT_EQ(std::vector<int>(callbacks_.begin(),
+                               callbacks_.begin() + submitted_),
+              std::vector<int>(static_cast<std::size_t>(submitted_), 1));
+    EXPECT_EQ(result.records.size(), static_cast<std::size_t>(submitted_));
+    for (const RequestRecord& r : result.records) {
+      EXPECT_GE(r.start, r.arrival) << "request " << r.id;
+      EXPECT_GE(r.first_token - r.start,
+                tb_.per_request_overhead +
+                    StRuntime().BatchComputeTime(1, r.length))
+          << "request " << r.id;
+      EXPECT_GE(r.completion - r.first_token,
+                LoneDecodeTime(r.length, std::max(1, r.decode_len)))
+          << "request " << r.id;
+    }
+    std::sort(result.records.begin(), result.records.end(),
+              [](const RequestRecord& a, const RequestRecord& b) {
+                return a.id < b.id;
+              });
+    return result;
+  }
+
+ private:
+  batch::GenerativeConfig gen_;
+  TestbedConfig tb_;
+  std::unique_ptr<sim::Scheme> scheme_;
+  std::vector<int> callbacks_;
+  int submitted_ = 0;
+  // Last: its destructor finishes a run a failed assertion left open, and
+  // the callbacks still in flight write callbacks_.
+  std::unique_ptr<LiveTestbed> testbed_;
+};
+
+/// One decode step of a lone sequence early in its run.
+SimDuration Step() {
+  return StRuntime().DecodeStepTime(1, GenRunBed::kLength + 1);
+}
+
+/// Simulated time by which a lone sequence submitted at 0 is `steps` decode
+/// steps into its run.
+SimTime IntoRun(int steps) {
+  return Millis(0.8) + StRuntime().BatchComputeTime(1, GenRunBed::kLength) +
+         steps * Step();
+}
+
+TEST(TestbedTimer, LoneSequenceCountsExactlyItsDecodeSteps) {
+  constexpr int kTokens = 300;
+  for (const bool arrivals : {false, true}) {
+    SCOPED_TRACE(arrivals ? "arrivals cut the run" : "one uncut run");
+    GenRunBed bed(1);
+    bed.Start();
+    bed.Submit(0, kTokens);
+    if (arrivals) {
+      // Single-token requests prefill between the lone sequence's decode
+      // steps and finish there: they cut its run but add no decode step.
+      for (RequestId id = 1; id <= 4; ++id) {
+        bed.WaitUntil(IntoRun(50 * static_cast<int>(id)));
+        bed.Submit(id, 1);
+      }
+    }
+    const TestbedResult result = bed.Finish();
+    EXPECT_EQ(result.gen_decode_iterations,
+              static_cast<std::uint64_t>(kTokens - 1));
+    for (const RequestRecord& r : result.records) {
+      // Admitted at the next boundary, not after the run.
+      if (r.id != 0) EXPECT_LT(r.completion, result.records[0].completion);
+    }
+  }
+}
+
+TEST(TestbedTimer, ArrivalMidRunJoinsAtTheNextBoundary) {
+  GenRunBed bed(1);
+  bed.Start();
+  bed.Submit(0, 400);
+  bed.WaitUntil(IntoRun(100));
+  bed.Submit(1, 20);
+  const TestbedResult result = bed.Finish();
+  const RequestRecord& lone = result.records[0];
+  const RequestRecord& late = result.records[1];
+  // The run was cut: the newcomer prefilled and finished while the first
+  // sequence was still decoding, and both then decoded in one batch.
+  EXPECT_LT(late.completion, lone.completion);
+  EXPECT_LT(result.gen_decode_iterations, 399u + 19u);
+  EXPECT_EQ(result.gen_prefill_iterations, 2u);
+}
+
+TEST(TestbedTimer, KillMidRunCompletesEachSubmitOnce) {
+  fault::FaultPlan plan;
+  plan.CrashAt(IntoRun(60), 0);
+  GenRunBed bed(2, &plan);
+  bed.Start();
+  bed.Submit(0, 300);
+  bed.Submit(1, 300);
+  const TestbedResult result = bed.Finish();
+  EXPECT_EQ(result.injected_failures, 1);
+  EXPECT_GE(result.requeues, 1u);
+  int restarted = 0;
+  for (const RequestRecord& r : result.records) {
+    EXPECT_NE(r.instance, 0u) << "request " << r.id;
+    if (r.start >= IntoRun(60)) ++restarted;
+  }
+  EXPECT_GE(restarted, 1);  // what the crash held prefilled again
+  // The ~60 decode steps worker 0 ran before the crash still count, on top
+  // of the 299 the restarted sequences need.
+  EXPECT_GE(result.gen_decode_iterations, 299u + 50u);
+}
+
+TEST(TestbedTimer, HangMidRunFreezesTheStepInFlight) {
+  const SimDuration hang = 40 * Step();
+  fault::FaultPlan plan;
+  plan.HangAt(IntoRun(60), 0, hang);
+  GenRunBed bed(1, &plan);
+  bed.Start();
+  bed.Submit(0, 300);
+  const TestbedResult result = bed.Finish();
+  EXPECT_EQ(result.faults_injected, 1u);
+  EXPECT_EQ(result.injected_failures, 0);
+  // The step in flight at the hang ends no earlier than the window, so the
+  // run loses at least the window less that step.
+  const RequestRecord& r = result.records[0];
+  EXPECT_GE(r.completion - r.first_token,
+            LoneDecodeTime(r.length, r.decode_len) + hang -
+                StRuntime().DecodeStepTime(1, r.length + r.decode_len));
+  EXPECT_EQ(result.gen_decode_iterations, 299u);
+}
+
+TEST(TestbedTimer, SlowdownMidRunStretchesTheStepsAfterIt) {
+  const SimDuration window = 60 * Step();
+  constexpr double kFactor = 3.0;
+  fault::FaultPlan plan;
+  plan.SlowdownAt(IntoRun(60), 0, window, kFactor);
+  GenRunBed bed(1, &plan);
+  bed.Start();
+  bed.Submit(0, 300);
+  const TestbedResult result = bed.Finish();
+  EXPECT_EQ(result.faults_injected, 1u);
+  // Every step that starts inside the window takes kFactor times as long;
+  // past the step in flight at the slowdown, they fill the rest of it.
+  const RequestRecord& r = result.records[0];
+  const SimDuration longest =
+      StRuntime().DecodeStepTime(1, r.length + r.decode_len);
+  const auto extra = static_cast<SimDuration>(
+      static_cast<double>(window - longest) * (kFactor - 1.0) / kFactor);
+  EXPECT_GE(r.completion - r.first_token,
+            LoneDecodeTime(r.length, r.decode_len) + extra);
+  EXPECT_EQ(result.gen_decode_iterations, 299u);
+}
+
+/// One worker at a time, least-loaded dispatch; an external allocation
+/// retires the live worker and launches its replacement.
+class RetireOnReallocScheme final : public sim::Scheme {
+ public:
+  RetireOnReallocScheme() : queue_(1) {
+    runtime::SimulatedCompiler compiler;
+    rt_ = compiler.Compile(ScenarioConfig{}.model,
+                           runtime::CompilationKind::kStatic, 512);
+  }
+  std::string Name() const override { return "retire-on-realloc"; }
+  void Setup(sim::ClusterOps& cluster) override {
+    cluster.LaunchInstance(0, rt_, 0);
+  }
+  InstanceId SelectInstance(const Request&, sim::ClusterOps&) override {
+    const auto head = queue_.Head(0);
+    return head ? head->id : kInvalidInstance;
+  }
+  void OnDispatched(const Request&, InstanceId id) override {
+    queue_.OnDispatch(id);
+  }
+  void OnComplete(const RequestRecord& record, sim::ClusterOps&) override {
+    queue_.OnComplete(record.instance);
+  }
+  void OnInstanceReady(InstanceId id, RuntimeId runtime) override {
+    queue_.AddInstance(id, runtime, 1000);
+    live_ = id;
+  }
+  void OnInstanceRetired(InstanceId) override { ++retired_; }
+  bool ApplyExternalAllocation(const std::vector<int>&,
+                               sim::ClusterOps& cluster) override {
+    queue_.RemoveInstance(live_);
+    cluster.RetireInstance(live_);
+    cluster.LaunchInstance(0, rt_, 0);
+    return true;
+  }
+
+  int retired_ = 0;
+
+ private:
+  std::shared_ptr<const runtime::CompiledRuntime> rt_;
+  core::MultiLevelQueue queue_;
+  InstanceId live_ = kInvalidInstance;
+};
+
+TEST(TestbedTimer, RetirementMidRunFinishesTheRunInPlace) {
+  auto owned = std::make_unique<RetireOnReallocScheme>();
+  RetireOnReallocScheme& scheme = *owned;
+  GenRunBed bed(1, nullptr, std::move(owned));
+  bed.Start();
+  bed.Submit(0, 300);
+  bed.WaitUntil(IntoRun(60));
+  ASSERT_TRUE(bed.Bed().ApplyAllocation({1}));
+  bed.Submit(1, 10);  // lands on the replacement
+  const TestbedResult result = bed.Finish();
+  EXPECT_EQ(result.records[0].instance, 0u);
+  EXPECT_EQ(result.records[1].instance, 1u);
+  EXPECT_EQ(scheme.retired_, 1);
+  EXPECT_EQ(result.injected_failures, 0);
+  EXPECT_GE(result.gen_decode_iterations, 299u);
+}
+
+TEST(TestbedTimer, HangReaperNeverReapsAHealthyLongRun) {
+  // Real time, so a host stall of a few ms cannot outlast the timeout
+  // during the prefill, the one stretch without decode steps to settle.
+  fault::FaultPlan plan;  // no faults: just the health check
+  GenRunBed bed(1, &plan);
+  bed.Config().time_scale = 1.0;
+  bed.Config().resilience.hang_timeout = Millis(25.0);
+  bed.Config().resilience.health_check_period = Millis(2.0);
+  bed.Start();
+  bed.Submit(0, 400);
+  const SimTime run_end = IntoRun(399);
+  ASSERT_GT(run_end, 4 * bed.Config().resilience.hang_timeout);
+  while (bed.Bed().Now() < run_end) {
+    const TestbedHealth health = bed.Bed().Health();
+    EXPECT_TRUE(health.hung.empty()) << "at " << bed.Bed().Now();
+    std::this_thread::sleep_for(std::chrono::milliseconds(3));
+  }
+  const TestbedResult result = bed.Finish();
+  EXPECT_EQ(result.injected_failures, 0);
+  EXPECT_EQ(result.records[0].instance, 0u);
+  EXPECT_EQ(result.gen_decode_iterations, 399u);
 }
 
 }  // namespace
