@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
+#include <string>
+#include <vector>
 
 #include "baselines/scenario.h"
 #include "common/rng.h"
@@ -20,19 +23,36 @@ namespace {
 // --- engine conservation -----------------------------------------------------
 
 struct ConservationCase {
-  const char* scheme;
+  std::string scheme;
   std::uint64_t seed;
 };
 
-class ConservationTest
-    : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
+// Prints as "arlo-ilb_seed1", which is also the case's ctest name; the
+// default printer would show a char pointer's address, which changes with
+// every build and run.
+void PrintTo(const ConservationCase& c, std::ostream* os) {
+  *os << c.scheme << "_seed" << c.seed;
+}
+
+std::vector<ConservationCase> ConservationCases() {
+  std::vector<ConservationCase> cases;
+  for (const char* scheme :
+       {"arlo", "arlo-ilb", "arlo-ig", "st", "dt", "infaas"}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      cases.push_back({scheme, seed});
+    }
+  }
+  return cases;
+}
+
+class ConservationTest : public ::testing::TestWithParam<ConservationCase> {};
 
 TEST_P(ConservationTest, EveryRequestServedExactlyOnceWithSaneTimestamps) {
-  const auto [scheme_name, seed] = GetParam();
+  const auto& [scheme_name, seed] = GetParam();
   trace::TwitterTraceConfig tc;
   tc.duration_s = 6.0;
   tc.mean_rate = 250.0;
-  tc.seed = static_cast<std::uint64_t>(seed) * 7919;
+  tc.seed = seed * 7919;
   tc.pattern = seed % 2 == 0 ? trace::TwitterTraceConfig::Pattern::kStable
                              : trace::TwitterTraceConfig::Pattern::kBursty;
   const trace::Trace t = trace::SynthesizeTwitterTrace(tc);
@@ -59,11 +79,8 @@ TEST_P(ConservationTest, EveryRequestServedExactlyOnceWithSaneTimestamps) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    SchemesAndSeeds, ConservationTest,
-    ::testing::Combine(::testing::Values("arlo", "arlo-ilb", "arlo-ig", "st",
-                                         "dt", "infaas"),
-                       ::testing::Values(1, 2, 3)));
+INSTANTIATE_TEST_SUITE_P(SchemesAndSeeds, ConservationTest,
+                         ::testing::ValuesIn(ConservationCases()));
 
 // --- LP vs vertex enumeration -----------------------------------------------
 
